@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInAN, NotInQ, NotTimelike
 from .groups import GroupTag, is_member
-from .indefinite import ConeClass, Signature, _sample_cone, classify, dagger, norm_sq, pairing
+from .indefinite import ConeClass, Signature, classify, dagger, norm_sq, pairing, sample_cone
 from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
@@ -167,7 +167,7 @@ def cone_preservation_check(
     rng = np.random.default_rng(seed)
     for i in range(trials):
         cls = ConeClass.TIMELIKE if i % 2 == 0 else ConeClass.NULL
-        x = _sample_cone(cls, sig, rng)
+        x = sample_cone(cls, sig, rng)
         if classify(s @ x, sig, tol) is not ConeClass.TIMELIKE:
             return False
     return True

@@ -70,6 +70,16 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"  {key} = {value}")
 
 
+#: Errors a command lets through, mapped to (error_code, exit code); the
+#: first matching row wins.
+_ERROR_REPORTS = (
+    (ParseError, "parse_error", EXIT_PARSE),
+    (NotDecomposable, "not_decomposable", EXIT_NOT_DECOMPOSABLE),
+    ((MembershipError, ZeroVector), "invalid_input", EXIT_PRECONDITION),
+    (SupqError, "error", EXIT_PRECONDITION),
+)
+
+
 def _failure(command: str, code: str, exc: Exception) -> dict:
     return docio.build_report(command, False, {}, error_code=code, detail=str(exc))
 
@@ -79,16 +89,11 @@ def cmd_decompose(args) -> tuple[dict, int]:
     outputs: dict = {"method": args.method}
     if label:
         outputs["label"] = label
-    try:
-        pairs = {}
-        if args.method in ("gauss", "both"):
-            pairs["gauss"] = decompose_gauss(M, sig, args.tol)
-        if args.method in ("gs", "both"):
-            pairs["gs"] = decompose_gs(M, sig, args.tol)
-    except NotDecomposable as exc:
-        return _failure("decompose", "not_decomposable", exc), EXIT_NOT_DECOMPOSABLE
-    except MembershipError as exc:
-        return _failure("decompose", "invalid_input", exc), EXIT_PRECONDITION
+    pairs = {}
+    if args.method in ("gauss", "both"):
+        pairs["gauss"] = decompose_gauss(M, sig, args.tol)
+    if args.method in ("gs", "both"):
+        pairs["gs"] = decompose_gs(M, sig, args.tol)
     primary = pairs.get("gauss") or pairs["gs"]
     outputs["s"] = docio.matrix_to_doc(primary.s, sig)
     outputs["b"] = docio.matrix_to_doc(primary.b, sig)
@@ -136,12 +141,7 @@ def cmd_dress(args) -> tuple[dict, int]:
     if b_sig != g_sig:
         exc = ValueError(f"signatures differ: ({b_sig.p},{b_sig.q}) vs ({g_sig.p},{g_sig.q})")
         return _failure("dress", "invalid_input", exc), EXIT_PRECONDITION
-    try:
-        result = dress(b_mat, g_mat, b_sig, args.tol)
-    except MembershipError as exc:
-        return _failure("dress", "invalid_input", exc), EXIT_PRECONDITION
-    except NotDecomposable as exc:
-        return _failure("dress", "not_decomposable", exc), EXIT_NOT_DECOMPOSABLE
+    result = dress(b_mat, g_mat, b_sig, args.tol)
     outputs = {
         "g_prime": docio.matrix_to_doc(result.g_prime, b_sig),
         "b_prime": docio.matrix_to_doc(result.b_prime, b_sig),
@@ -152,10 +152,7 @@ def cmd_dress(args) -> tuple[dict, int]:
 
 def cmd_sym(args) -> tuple[dict, int]:
     M, sig, label = docio.load_document(_read_text(args.infile))
-    try:
-        out = sym(M, sig, args.tol)
-    except MembershipError as exc:
-        return _failure("sym", "invalid_input", exc), EXIT_PRECONDITION
+    out = sym(M, sig, args.tol)
     outputs: dict = {"sym": docio.matrix_to_doc(out, sig)}
     if label:
         outputs["label"] = label
@@ -167,10 +164,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     if M.shape not in {(1, sig.n), (sig.n, 1)}:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
     x = M.reshape(-1)
-    try:
-        cone = classify(x, sig, args.tol)
-    except ZeroVector as exc:
-        return _failure("classify", "invalid_input", exc), EXIT_PRECONDITION
+    cone = classify(x, sig, args.tol)
     e2 = float(np.sum(x.real**2 + x.imag**2))
     outputs: dict = {"cone": cone.value}
     if label:
@@ -179,7 +173,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_selftest(args) -> tuple[dict, int]:
-    results = run_selftest(args.nmax, args.trials, args.seed, corrupt=args.corrupt)
+    results = run_selftest(args.nmax, args.trials, args.seed)
     outputs = {
         r.name: {"passed": r.passed, "trials": r.trials, "worst": r.worst, "detail": r.detail}
         for r in results
@@ -244,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=4, help="largest matrix size (2..8)")
     p.add_argument("--trials", type=int, default=200, help="base trial count per suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--corrupt", action="store_true",
-                   help="test hook: deliberately falsify one suite")
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -257,10 +249,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         report, code = args.func(args)
-    except ParseError as exc:
-        report, code = _failure(args.command, "parse_error", exc), EXIT_PARSE
     except SupqError as exc:
-        report, code = _failure(args.command, "error", exc), EXIT_PRECONDITION
+        error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
+        report = _failure(args.command, error_code, exc)
     if args.command == "selftest" and not args.json:
         _print_selftest_human(report)
     else:

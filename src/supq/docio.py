@@ -104,12 +104,6 @@ def matrix_to_grid(M) -> list[list[list[float]]]:
     return [[complex_to_pair(z) for z in row] for row in M]
 
 
-def vector_to_grid(x) -> list[list[list[float]]]:
-    """Serialize a vector as a single-row matrix grid."""
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    return matrix_to_grid(x)
-
-
 def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
     doc: dict = {
         "signature": {"p": sig.p, "q": sig.q},

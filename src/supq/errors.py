@@ -25,10 +25,6 @@ class NoConvergence(SupqError):
     """A kernel routine exhausted its budget or missed its residual target."""
 
 
-# Admissibility checks surface eigensolver breakdowns under this name.
-EigenFailure = NoConvergence
-
-
 class SingularDiagonal(SupqError):
     """A triangular solve met a diagonal entry that is zero to tolerance."""
 

@@ -51,22 +51,22 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
 
     Structural zeros (below-diagonal entries for the triangular family) and
     symmetry defects are compared against ``tol * max(1, ||M||_F)``; the
-    determinant against a conditioning-aware window around 1.
+    determinant against a conditioning-aware window around 1.  The
+    determinant window (an SVD and an LU) is evaluated last, and only for
+    the sets that constrain the determinant.
     """
     M = as_cmatrix(M, square=True)
     n = sig.n
     if M.shape[0] != n:
         raise DimensionMismatch(f"matrix of size {M.shape[0]} does not match n={n}")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    det_ok = _det_is_one(M, tol)
-
     if tag is GroupTag.G:
-        return det_ok
+        return _det_is_one(M, tol)
+    scale = max(1.0, float(np.linalg.norm(M)))
     if tag is GroupTag.G0:
         defect = np.linalg.norm(dagger(M, sig) @ M - np.eye(n))
-        return det_ok and defect <= tol * scale
+        return defect <= tol * scale and _det_is_one(M, tol)
     if tag is GroupTag.Q:
-        return det_ok and np.linalg.norm(dagger(M, sig) - M) <= tol * scale
+        return np.linalg.norm(dagger(M, sig) - M) <= tol * scale and _det_is_one(M, tol)
 
     strictly_lower_ok = np.linalg.norm(np.tril(M, -1)) <= tol * scale
     diag = np.diagonal(M)
@@ -77,9 +77,9 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
         return strictly_lower_ok and bool(np.all(np.abs(diag - 1.0) <= tol))
     if tag is GroupTag.A:
         off = np.linalg.norm(M - np.diag(diag))
-        return off <= tol * scale and diag_pos and det_ok
+        return off <= tol * scale and diag_pos and _det_is_one(M, tol)
     if tag is GroupTag.AN:
-        return strictly_lower_ok and diag_pos and det_ok
+        return strictly_lower_ok and diag_pos and _det_is_one(M, tol)
     raise ValueError(f"unknown group tag {tag!r}")
 
 
@@ -128,7 +128,14 @@ class AdmissibleDiagonal:
         return np.diag(np.exp(self.entries)).astype(np.complex128)
 
 
-def _random_g0(sig: Signature, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
+def random_g0(sig: Signature, seed: int | np.random.Generator, spread: float = 1.0) -> np.ndarray:
+    """Random element of SU(p, q): exp of a traceless dagger-antisymmetric X
+    with ||X||_F = spread.
+
+    ``seed`` is an int or a ``numpy.random.Generator``; a Generator is drawn
+    from (and so advanced) in place.
+    """
+    rng = np.random.default_rng(seed)
     n = sig.n
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     X = 0.5 * (Z - dagger(Z, sig))
@@ -141,13 +148,11 @@ def _random_g0(sig: Signature, rng: np.random.Generator, spread: float = 1.0) ->
     return mat_exp(X)
 
 
-def random_g0(sig: Signature, seed: int, spread: float = 1.0) -> np.ndarray:
-    """Random element of SU(p, q): exp of a traceless dagger-antisymmetric X
-    with ||X||_F = spread."""
-    return _random_g0(sig, np.random.default_rng(seed), spread)
-
-
-def _random_an(sig: Signature, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
+def random_an(sig: Signature, seed: int | np.random.Generator, spread: float = 1.0) -> np.ndarray:
+    """Random element of AN: log-uniform diagonal renormalized to det 1,
+    Gaussian strict upper part scaled by ``spread``.  Below-diagonal zeros
+    are exact.  ``seed`` is an int or a Generator."""
+    rng = np.random.default_rng(seed)
     n = sig.n
     diag = np.exp(rng.uniform(-spread, spread, n))
     diag /= np.prod(diag) ** (1.0 / n)
@@ -158,16 +163,15 @@ def _random_an(sig: Signature, rng: np.random.Generator, spread: float = 1.0) ->
     return M
 
 
-def random_an(sig: Signature, seed: int, spread: float = 1.0) -> np.ndarray:
-    """Random element of AN: log-uniform diagonal renormalized to det 1,
-    Gaussian strict upper part scaled by ``spread``.  Below-diagonal zeros
-    are exact."""
-    return _random_an(sig, np.random.default_rng(seed), spread)
-
-
-def _random_admissible_diag(
-    sig: Signature, rng: np.random.Generator, gap: float = 1e-3, scale: float = 1.0
+def random_admissible_diag(
+    sig: Signature, seed: int | np.random.Generator, gap: float = 1e-3, scale: float = 1.0
 ) -> AdmissibleDiagonal:
+    """Random admissible exponent vector with min(lambda) - max(mu) >= gap
+    and zero sum; ``scale`` is the standard deviation of the raw exponents.
+    ``seed`` is an int or a Generator."""
+    if gap <= 0:
+        raise ValueError("gap must be positive")
+    rng = np.random.default_rng(seed)
     lam = np.sort(rng.normal(0.0, scale, sig.p))[::-1]
     mu = np.sort(rng.normal(0.0, scale, sig.q))[::-1]
     need = gap - (lam.min() - mu.max())
@@ -178,11 +182,3 @@ def _random_admissible_diag(
     lam -= center
     mu -= center
     return AdmissibleDiagonal(tuple(lam), tuple(mu))
-
-
-def random_admissible_diag(sig: Signature, seed: int, gap: float = 1e-3) -> AdmissibleDiagonal:
-    """Random admissible exponent vector with min(lambda) - max(mu) >= gap
-    and zero sum."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    return _random_admissible_diag(sig, np.random.default_rng(seed), gap)

@@ -106,8 +106,15 @@ def dagger(A, sig: Signature) -> np.ndarray:
     return (j[:, None] * A.conj().T) * j[None, :]
 
 
-def _sample_cone(cls: ConeClass, sig: Signature, rng: np.random.Generator) -> np.ndarray:
-    """Draw one vector of the requested cone class using ``rng``."""
+def sample_cone(cls: ConeClass, sig: Signature, rng_seed: int | np.random.Generator) -> np.ndarray:
+    """Reproducibly sample one vector of cone class ``cls``.
+
+    ``rng_seed`` is an int or a ``numpy.random.Generator``, which is drawn
+    from in place.  Null vectors are returned with unit Euclidean norm and
+    satisfy ``|norm_sq(x)| <= 1e-12``; timelike and spacelike samples sit
+    well away from the cone boundary.
+    """
+    rng = np.random.default_rng(rng_seed)
     p = sig.p
     z = rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n)
     mags = z.real**2 + z.imag**2
@@ -123,13 +130,3 @@ def _sample_cone(cls: ConeClass, sig: Signature, rng: np.random.Generator) -> np
     else:
         z[p:] *= np.sqrt((margin + pos) / neg)
     return z
-
-
-def sample_cone(cls: ConeClass, sig: Signature, rng_seed: int) -> np.ndarray:
-    """Reproducibly sample one vector of cone class ``cls``.
-
-    Null vectors are returned with unit Euclidean norm and satisfy
-    ``|norm_sq(x)| <= 1e-12``; timelike and spacelike samples sit well away
-    from the cone boundary.
-    """
-    return _sample_cone(cls, sig, np.random.default_rng(rng_seed))

@@ -1,11 +1,12 @@
 """Dense complex linear-algebra kernel.
 
-Products, the matrix exponential, eigenpairs, an *unpivoted* signed LDL*
-factorization, and triangular solves, all on numpy ``complex128`` arrays.
+Input validation, the matrix exponential, eigenpairs, an *unpivoted*
+signed LDL* factorization, and triangular solves, all on numpy
+``complex128`` arrays.
 Everything here is signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
-Sizes are desk scale (the eigensolver is capped at n = 32 by default), so
+Sizes are desk scale (the eigensolver is capped at n = 32), so
 the emphasis is on exact contracts and sharp failure modes, not throughput.
 """
 
@@ -31,7 +32,7 @@ DEFAULT_TOL = 1e-9
 #: Default relative tolerance on eigenpair residuals.
 DEFAULT_TOL_EIG = 1e-10
 
-#: Default size cap for the dense eigensolver.
+#: Size cap for the dense eigensolver.
 EIG_SIZE_CAP = 32
 
 
@@ -61,15 +62,6 @@ def as_cvector(x) -> np.ndarray:
     return v
 
 
-def mat_mul(A, B) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    A = as_cmatrix(A)
-    B = as_cmatrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    return A @ B
-
-
 def mat_exp(X) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring, via scipy)."""
     X = as_cmatrix(X, square=True)
@@ -90,13 +82,13 @@ class EigenResult:
     max_residual: float
 
 
-def eig(M, tol_eig: float = DEFAULT_TOL_EIG, size_cap: int = EIG_SIZE_CAP) -> EigenResult:
+def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
     """Eigenpairs of a general (possibly defective) complex matrix.
 
     Parameters
     ----------
     M : array_like
-        Square complex matrix, n <= ``size_cap``.
+        Square complex matrix, n <= ``EIG_SIZE_CAP``.
     tol_eig : float
         Residual acceptance threshold, relative to ||M||_F.
 
@@ -108,8 +100,8 @@ def eig(M, tol_eig: float = DEFAULT_TOL_EIG, size_cap: int = EIG_SIZE_CAP) -> Ei
     """
     M = as_cmatrix(M, square=True)
     n = M.shape[0]
-    if n > size_cap:
-        raise DimensionMismatch(f"eigensolver is capped at n={size_cap}, got n={n}")
+    if n > EIG_SIZE_CAP:
+        raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")
     try:
         vals, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:

@@ -9,6 +9,7 @@ import pytest
 from supq import cli
 from supq.docio import dumps, matrix_to_doc
 from supq.indefinite import Signature
+from supq.selftest import SuiteResult
 
 SIG11 = Signature(1, 1)
 SQ2 = np.sqrt(2.0)
@@ -286,11 +287,13 @@ def test_selftest_human_output_lists_suites(capsys):
     assert "all passed" in out
 
 
-def test_selftest_corrupt_hook_reports_failure(capsys):
-    # the hook falsifies one suite's residuals: reported as data, exit still 0
-    code, rep = _run_json(
-        capsys, ["selftest", "--nmax", "2", "--trials", "20", "--seed", "5", "--corrupt"]
+def test_selftest_corrupt_hook_reports_failure(capsys, monkeypatch):
+    # a failing suite is reported as data, and the exit code is still 0
+    monkeypatch.setattr(
+        "supq.selftest.suite_global_decomposition",
+        lambda *args, **kwargs: SuiteResult("global_decomposition", False, 1, 1.0, "forced"),
     )
+    code, rep = _run_json(capsys, ["selftest", "--nmax", "2", "--trials", "20", "--seed", "5"])
     assert code == 0
     assert rep["outputs"]["all_passed"] is False
     assert rep["outputs"]["global_decomposition"]["passed"] is False

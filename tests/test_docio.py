@@ -14,7 +14,6 @@ from supq.docio import (
     matrix_to_grid,
     parse_document,
     parse_signature,
-    vector_to_grid,
 )
 from supq.errors import ParseError
 from supq.indefinite import Signature
@@ -129,7 +128,6 @@ def test_complex_and_grid_helpers():
     assert complex_to_pair(1.5 - 2.5j) == [1.5, -2.5]
     grid = matrix_to_grid(np.array([[1j]]))
     assert grid == [[[0.0, 1.0]]]
-    assert vector_to_grid([1.0, 2.0]) == [[[1.0, 0.0], [2.0, 0.0]]]
 
 
 def test_load_document_rejects_invalid_json():

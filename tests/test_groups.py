@@ -12,7 +12,7 @@ from supq.groups import (
     random_an,
     random_g0,
 )
-from supq.indefinite import Signature, dagger
+from supq.indefinite import ConeClass, Signature, dagger, sample_cone
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -172,3 +172,22 @@ def test_random_admissible_diag_contract():
 def test_random_admissible_diag_rejects_nonpositive_gap():
     with pytest.raises(ValueError):
         random_admissible_diag(SIG11, 0, gap=0.0)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: random_g0(SIG22, seed),
+        lambda seed: random_an(SIG22, seed),
+        lambda seed: random_admissible_diag(SIG22, seed).entries,
+        lambda seed: sample_cone(ConeClass.TIMELIKE, SIG22, seed),
+    ],
+    ids=["random_g0", "random_an", "random_admissible_diag", "sample_cone"],
+)
+def test_generators_take_an_int_or_a_generator(draw):
+    np.testing.assert_array_equal(draw(7), draw(np.random.default_rng(7)))
+    # a shared Generator advances: the second call draws something new
+    rng = np.random.default_rng(7)
+    first, second = draw(rng), draw(rng)
+    np.testing.assert_array_equal(first, draw(7))
+    assert not np.array_equal(first, second)

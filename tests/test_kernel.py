@@ -18,7 +18,6 @@ from supq.kernel import (
     as_cvector,
     eig,
     mat_exp,
-    mat_mul,
     signed_ldl,
     solve_upper_triangular,
 )
@@ -61,14 +60,6 @@ def test_as_cvector_contracts():
         as_cvector([[1, 2]])
     with pytest.raises(NonFiniteInput):
         as_cvector([1.0, np.nan])
-
-
-def test_mat_mul_checks_inner_dimension():
-    A = np.ones((2, 3), dtype=complex)
-    B = np.ones((3, 2), dtype=complex)
-    np.testing.assert_allclose(mat_mul(A, B), 3 * np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        mat_mul(A, A)
 
 
 # ---------------------------------------------------------------------------
