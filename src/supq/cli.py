@@ -18,15 +18,9 @@ import numpy as np
 
 from . import docio
 from .admissible import check_admissible_an, check_admissible_q
-from .errors import (
-    MembershipError,
-    NotDecomposable,
-    ParseError,
-    SupqError,
-    ZeroVector,
-)
+from .errors import MembershipError, NotDecomposable, ParseError, SupqError, ZeroVector
 from .groups import GroupTag, is_member
-from .indefinite import Signature, classify, norm_sq
+from .indefinite import classify, norm_sq
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
 from .kernel import DEFAULT_TOL
 from .selftest import run_selftest

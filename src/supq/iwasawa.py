@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import AdmissibilityReport, check_admissible_an, check_admissible_q
+from .admissible import check_admissible_an, check_admissible_q
 from .errors import NoConvergence, NotAdmissible, NotDecomposable, NotInAN, NotInG, NotInG0, WrongInertia
 from .groups import GroupTag, is_member
 from .indefinite import Signature, dagger
@@ -69,12 +69,13 @@ def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
 def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     """Factor g = s b by pseudo-orthonormalizing the columns of g.
 
-    Modified Gram-Schmidt against the indefinite pairing.  Column k is
-    reduced against the accepted directions u_1..u_{k-1}; the coefficient
-    for u_l is <v, u_l> divided by <u_l, u_l> = +1 (l <= p) or -1 (l > p).
-    The residual must be strictly timelike for k <= p and strictly
-    spacelike afterwards; its indefinite length becomes the diagonal entry
-    b_kk > 0.
+    Modified Gram-Schmidt against the indefinite pairing, right-looking:
+    each accepted direction u_k is projected out of all later columns at
+    once, so column k has been reduced against u_1..u_{k-1} in order by the
+    time it is reached.  The coefficient for u_l is <v, u_l> divided by
+    <u_l, u_l> = +1 (l <= p) or -1 (l > p).  The residual must be strictly
+    timelike for k <= p and strictly spacelike afterwards; its indefinite
+    length becomes the diagonal entry b_kk > 0.
 
     Raises
     ------
@@ -92,17 +93,11 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     if not is_member(g, GroupTag.G, sig, tol):
         raise NotInG()
     j = sig.j_diag
-    S = np.zeros((n, n), dtype=np.complex128)
+    # Columns are reduced and then normalised in place: R ends as s.
+    R = g.copy()
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
-        r = g[:, k].copy()
-        for l in range(k):
-            u = S[:, l]
-            c = np.sum(j * r * u.conj())
-            if l >= p:
-                c = -c
-            r -= c * u
-            B[l, k] = c
+        r = R[:, k]
         mags = r.real**2 + r.imag**2
         ns = float(np.sum(mags[:p]) - np.sum(mags[p:]))
         e2 = float(np.sum(mags))
@@ -118,14 +113,20 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
                 index=k + 1,
                 kind="wrong_cone",
             )
-        rk = float(np.sqrt(abs(ns)))
-        B[k, k] = rk
-        S[:, k] = r / rk
+        B[k, k] = np.sqrt(abs(ns))
+        r /= B[k, k].real
+        if k == n - 1:
+            break
+        c = (j * r.conj()) @ R[:, k + 1:]
+        if k >= p:
+            c = -c
+        R[:, k + 1:] -= np.outer(r, c)
+        B[k, k + 1:] = c
     a = np.diagonal(B).real.copy()
     n_factor = B / a[:, None]
     np.fill_diagonal(n_factor, 1.0)
-    residual = float(np.linalg.norm(g - S @ B))
-    return DecompPair(s=S, b=B, a=a, n_factor=n_factor, residual=residual)
+    residual = float(np.linalg.norm(g - R @ B))
+    return DecompPair(s=R, b=B, a=a, n_factor=n_factor, residual=residual)
 
 
 def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:

@@ -13,12 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admissible import (
-    check_admissible_an,
-    check_admissible_q,
-    cone_preservation_check,
-    leading_minors,
-)
+from .admissible import check_admissible_an, check_admissible_q, cone_preservation_check, leading_minors
 from .errors import NotDecomposable, SupqError
 from .groups import random_admissible_diag, random_an, random_g0
 from .indefinite import ConeClass, Signature, dagger, sample_cone
@@ -46,6 +41,10 @@ class SuiteResult:
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) % 2**63, *key])
+
+
+def _unexpected(exc: SupqError) -> str:
+    return f"unexpected {type(exc).__name__}: {exc}"
 
 
 def _rel_err(ref: np.ndarray, approx: np.ndarray) -> float:
@@ -196,7 +195,7 @@ def _run_trials(name: str, key: int, seed: int, trials: int, trial, worst,
         try:
             values, problem = trial(_rng(seed, key, t))
         except SupqError as exc:
-            values, problem = (), f"unexpected {type(exc).__name__}: {exc}"
+            values, problem = (), _unexpected(exc)
         running = worst((running, *values))
         if problem is not None:
             failures += 1
@@ -273,29 +272,31 @@ def suite_cone_characterization(n_max: int = 6, forward: int = 100, converse: in
     """Admissible elements pass the Monte-Carlo cone check (timelike and null
     samples); strict gap violations are caught, with at least ``min_found``
     of the ``converse`` constructed counterexamples detected."""
-    forward_failures = 0
-    for t in range(forward):
-        rng = _rng(seed, 4, t)
+
+    def violated(key, t, generate, samples):
+        rng = _rng(seed, key, t)
         sig = random_signature(rng, n_max)
-        s = random_admissible_q(sig, rng)
-        if not cone_preservation_check(s, sig, trials=forward_samples,
-                                       seed=int(rng.integers(2**32))):
-            forward_failures += 1
-    found = 0
-    for t in range(converse):
-        rng = _rng(seed, 5, t)
-        sig = random_signature(rng, n_max)
-        s = random_nonadmissible_q(sig, rng)
-        if not cone_preservation_check(s, sig, trials=converse_samples,
-                                       seed=int(rng.integers(2**32))):
-            found += 1
-    passed = forward_failures == 0 and found >= min_found
+        s = generate(sig, rng)
+        return not cone_preservation_check(s, sig, trials=samples, seed=int(rng.integers(2**32)))
+
+    # Trials are numbered forward first, then converse.
+    forward_failures = found = 0
+    detail = ""
+    for t in range(forward + converse):
+        try:
+            if t < forward:
+                forward_failures += violated(4, t, random_admissible_q, forward_samples)
+            else:
+                found += violated(5, t - forward, random_nonadmissible_q, converse_samples)
+        except SupqError as exc:
+            detail = detail or f"trial {t}: {_unexpected(exc)}"
+    passed = not detail and forward_failures == 0 and found >= min_found
     return SuiteResult(
         "cone_characterization",
         passed,
         forward + converse,
         float(found),
-        f"{forward_failures} forward failures; violations found in {found}/{converse} "
+        detail or f"{forward_failures} forward failures; violations found in {found}/{converse} "
         f"constructed gap violators (the converse direction is probabilistic)",
     )
 
@@ -352,11 +353,11 @@ def suite_su11_oracle(trials: int = 10000, seed: int = 42, rel: float = 1e-10,
     for t in range(trials):
         rng = _rng(seed, 8, t)
         el = random_sl2_decomposable(rng)
-        k, bo = su11_decompose(el)
         M = el.as_matrix()
         scale = max(1.0, float(np.linalg.norm(M)))
-        k_mat, b_mat = k.as_matrix(), bo.as_matrix()
         try:
+            k, bo = su11_decompose(el)
+            k_mat, b_mat = k.as_matrix(), bo.as_matrix()
             for pair in (decompose_gs(M, _SIG11), decompose_gauss(M, _SIG11)):
                 err = max(
                     float(np.linalg.norm(pair.s - k_mat)),
@@ -368,7 +369,7 @@ def suite_su11_oracle(trials: int = 10000, seed: int = 42, rel: float = 1e-10,
                     detail = detail or f"trial {t}: oracle distance {err:.3e}"
         except SupqError as exc:
             failures += 1
-            detail = detail or f"trial {t}: unexpected {type(exc).__name__}: {exc}"
+            detail = detail or f"trial {t}: {_unexpected(exc)}"
 
     compared = 0
     for t in range(trials):
@@ -377,15 +378,19 @@ def suite_su11_oracle(trials: int = 10000, seed: int = 42, rel: float = 1e-10,
         if abs(s.t1 + s.t2 - 2.0) <= band or abs(s.t1 - 1.0) <= band:
             continue
         compared += 1
-        if check_admissible_q(s.as_matrix(), _SIG11).admissible != su11_q_admissible(s):
+        try:
+            if check_admissible_q(s.as_matrix(), _SIG11).admissible != su11_q_admissible(s):
+                failures += 1
+                detail = detail or f"trial {t}: Q predicate mismatch at {s}"
+            b = random_su11_an(rng)
+            if abs(b.r - 1.0) <= band or abs(b.r**2 + b.r**-2 - abs(b.n) ** 2 - 2.0) <= band:
+                continue
+            if check_admissible_an(b.as_matrix(), _SIG11).admissible != su11_an_admissible(b):
+                failures += 1
+                detail = detail or f"trial {t}: AN predicate mismatch at {b}"
+        except SupqError as exc:
             failures += 1
-            detail = detail or f"trial {t}: Q predicate mismatch at {s}"
-        b = random_su11_an(rng)
-        if abs(b.r - 1.0) <= band or abs(b.r**2 + b.r**-2 - abs(b.n) ** 2 - 2.0) <= band:
-            continue
-        if check_admissible_an(b.as_matrix(), _SIG11).admissible != su11_an_admissible(b):
-            failures += 1
-            detail = detail or f"trial {t}: AN predicate mismatch at {b}"
+            detail = detail or f"trial {t}: {_unexpected(exc)}"
     return SuiteResult(
         "su11_oracle",
         failures == 0,
@@ -458,18 +463,17 @@ def suite_failure_taxonomy(trials: int = 100, seed: int = 42) -> SuiteResult:
     for t in range(trials):
         rng = _rng(seed, 12, t)
         M, sig, _pivot = random_cell_crossed(rng)
-        try:
-            decompose_gauss(M, sig)
+        for route, decompose in (("triangular", decompose_gauss),
+                                 ("orthogonalization", decompose_gs)):
+            try:
+                decompose(M, sig)
+                problem = f"{route} route returned a factorization"
+            except NotDecomposable:
+                continue
+            except SupqError as exc:
+                problem = _unexpected(exc)
             failures += 1
-            detail = detail or f"trial {t}: triangular route returned a factorization"
-        except NotDecomposable:
-            pass
-        try:
-            decompose_gs(M, sig)
-            failures += 1
-            detail = detail or f"trial {t}: orthogonalization route returned a factorization"
-        except NotDecomposable:
-            pass
+            detail = detail or f"trial {t}: {problem}"
     return SuiteResult(
         "failure_taxonomy",
         failures == 0,

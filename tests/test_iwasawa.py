@@ -163,6 +163,22 @@ def test_routes_agree():
         np.testing.assert_allclose(p1.s, p2.s, rtol=0, atol=1e-8 * scale)
 
 
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_routes_agree_at_large_sizes(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        g = random_decomposable(sig, rng)
+        p1 = decompose_gauss(g, sig)
+        p2 = decompose_gs(g, sig)
+        scale = max(1.0, np.linalg.norm(g))
+        assert p2.residual <= 1e-9 * scale
+        assert is_member(p2.s, GroupTag.G0, sig, 1e-7)
+        np.testing.assert_allclose(p1.b, p2.b, rtol=0, atol=1e-8 * scale)
+        np.testing.assert_allclose(p1.s, p2.s, rtol=0, atol=1e-8 * scale)
+
+
 # ---------------------------------------------------------------------------
 # failure taxonomy
 
@@ -194,16 +210,18 @@ def test_boundary_element_raises_on_both_routes():
 
 
 def test_cell_crossed_pivot_is_located():
-    # the triangular route reports the exact pivot where the inertia flips,
-    # also when the bad block is hidden inside benign cosets
+    # both routes report the exact pivot where the inertia flips, also when
+    # the bad block is hidden inside benign cosets
     rng = np.random.default_rng(29)
     for _ in range(100):
         M, sig, pivot = random_cell_crossed(rng)
         with pytest.raises(WrongInertia) as exc_info:
             decompose_gauss(M, sig)
         assert exc_info.value.index == pivot
-        with pytest.raises(NotDecomposable):
+        with pytest.raises(NotDecomposable) as exc_info:
             decompose_gs(M, sig)
+        assert exc_info.value.index == pivot
+        assert exc_info.value.kind in {"wrong_cone", "null_boundary"}
 
 
 def test_decompose_rejects_non_unimodular():
