@@ -166,7 +166,7 @@ def test_routes_agree():
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_routes_agree_at_large_sizes(n):
     rng = np.random.default_rng(n)
-    for _ in range(10):
+    for _ in range(30):
         p = int(rng.integers(1, n))
         sig = Signature(p, n - p)
         g = random_decomposable(sig, rng)
