@@ -113,8 +113,9 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
                 index=k + 1,
                 kind="wrong_cone",
             )
-        B[k, k] = np.sqrt(abs(ns))
-        r /= B[k, k].real
+        rk = float(np.sqrt(abs(ns)))
+        B[k, k] = rk
+        r /= rk
         if k == n - 1:
             break
         c = (j * r.conj()) @ R[:, k + 1:]

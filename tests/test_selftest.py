@@ -20,7 +20,7 @@ def test_error_inside_a_trial_is_reported_as_a_failure(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, kwargs, target, error",
+    "suite, options, target, error",
     [
         pytest.param("suite_failure_taxonomy", {"trials": 3}, "decompose_gauss", NotInG,
                      id="failure_taxonomy"),
@@ -32,12 +32,12 @@ def test_error_inside_a_trial_is_reported_as_a_failure(monkeypatch):
                      id="su11_oracle"),
     ],
 )
-def test_suites_report_unexpected_errors(monkeypatch, suite, kwargs, target, error):
+def test_suites_report_unexpected_errors(monkeypatch, suite, options, target, error):
     def broken(*args, **kwargs):
         raise error("injected")
 
     monkeypatch.setattr(selftest, target, broken)
-    result = getattr(selftest, suite)(seed=1, **kwargs)
+    result = getattr(selftest, suite)(seed=1, **options)
     assert result.passed is False
     assert re.match(rf"trial \d+: unexpected {error.__name__}", result.detail)
     results = selftest.run_selftest(n_max=2, trials=5, seed=1)
