@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotInAN, NotInQ, NotTimelike
 from .groups import GroupTag, is_member
 from .indefinite import ConeClass, Signature, classify, dagger, norm_sq, pairing, sample_cone
-from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector, eig
+from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, as_cvector, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
 #: defective eigenvalue splits numerically by about sqrt(eps), leaving each
@@ -91,7 +91,11 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     s = as_cmatrix(s, square=True)
     if not is_member(s, GroupTag.Q, sig, tol):
         raise NotInQ()
-    result = eig(s)
+    return _admissibility_report(eig(s), sig, tol)
+
+
+def _admissibility_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
+    """:func:`check_admissible_q`'s verdict from ``eig`` of a validated or library-built Q element."""
     vals = result.values
 
     if np.any(np.abs(vals.imag) > tol * (1.0 + np.abs(vals.real))):
@@ -149,7 +153,7 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     b = as_cmatrix(b, square=True)
     if not is_member(b, GroupTag.AN, sig, tol):
         raise NotInAN()
-    return check_admissible_q(dagger(b, sig) @ b, sig, tol)
+    return _admissibility_report(eig(dagger(b, sig) @ b), sig, tol)
 
 
 def cone_preservation_check(

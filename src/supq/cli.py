@@ -20,7 +20,7 @@ from . import docio
 from .admissible import check_admissible_an, check_admissible_q
 from .errors import MembershipError, NotDecomposable, ParseError, SupqError, ZeroVector
 from .groups import GroupTag, is_member
-from .indefinite import classify, norm_sq
+from .indefinite import _cone_margin, classify
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
 from .kernel import DEFAULT_TOL
 from .selftest import run_selftest
@@ -29,15 +29,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_DECOMPOSABLE = 4
-
-_CHECK_SETS = {
-    "g0": GroupTag.G0,
-    "an": GroupTag.AN,
-    "a": GroupTag.A,
-    "n": GroupTag.N,
-    "q": GroupTag.Q,
-}
-
 
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
@@ -108,25 +99,22 @@ def cmd_check(args) -> tuple[dict, int]:
     outputs: dict = {"set": args.set}
     if label:
         outputs["label"] = label
-    margin = None
-    if args.set in _CHECK_SETS:
-        verdict = is_member(M, _CHECK_SETS[args.set], sig, args.tol)
-        outputs["verdict"] = bool(verdict)
-    else:
-        checker = check_admissible_q if args.set == "q_adm" else check_admissible_an
-        try:
-            report = checker(M, sig, args.tol)
-        except MembershipError as exc:
-            outputs["verdict"] = False
-            outputs["reason"] = str(exc)
-            return docio.build_report("check", True, outputs, margin=0.0), EXIT_OK
-        outputs["verdict"] = report.admissible
-        outputs["reason"] = report.reason
-        outputs["eigenvalues"] = [docio.complex_to_pair(z) for z in report.eigenvalues]
-        outputs["timelike_values"] = [float(v) for v in report.timelike_values]
-        outputs["spacelike_values"] = [float(v) for v in report.spacelike_values]
-        margin = report.margin
-    return docio.build_report("check", True, outputs, margin=margin), EXIT_OK
+    if args.set not in ("q_adm", "an_adm"):
+        outputs["verdict"] = bool(is_member(M, GroupTag(args.set), sig, args.tol))
+        return docio.build_report("check", True, outputs), EXIT_OK
+    checker = check_admissible_q if args.set == "q_adm" else check_admissible_an
+    try:
+        report = checker(M, sig, args.tol)
+    except MembershipError as exc:
+        outputs["verdict"] = False
+        outputs["reason"] = str(exc)
+        return docio.build_report("check", True, outputs, margin=0.0), EXIT_OK
+    outputs["verdict"] = report.admissible
+    outputs["reason"] = report.reason
+    outputs["eigenvalues"] = [docio.complex_to_pair(z) for z in report.eigenvalues]
+    outputs["timelike_values"] = [float(v) for v in report.timelike_values]
+    outputs["spacelike_values"] = [float(v) for v in report.spacelike_values]
+    return docio.build_report("check", True, outputs, margin=report.margin), EXIT_OK
 
 
 def cmd_dress(args) -> tuple[dict, int]:
@@ -159,11 +147,11 @@ def cmd_classify(args) -> tuple[dict, int]:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
     x = M.reshape(-1)
     cone = classify(x, sig, args.tol)
-    e2 = float(np.sum(x.real**2 + x.imag**2))
+    ns, e2 = _cone_margin(x, sig.p)
     outputs: dict = {"cone": cone.value}
     if label:
         outputs["label"] = label
-    return docio.build_report("classify", True, outputs, margin=norm_sq(x, sig) / e2), EXIT_OK
+    return docio.build_report("classify", True, outputs, margin=ns / e2), EXIT_OK
 
 
 def cmd_selftest(args) -> tuple[dict, int]:

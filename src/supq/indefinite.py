@@ -68,11 +68,15 @@ def pairing(x, y, sig: Signature) -> complex:
     return complex(np.sum(sig.j_diag * x * np.conj(y)))
 
 
+def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float]:
+    """``(<x, x>, ||x||_2^2)`` of an already validated vector."""
+    mags = x.real**2 + x.imag**2
+    return float(np.sum(mags[:p]) - np.sum(mags[p:])), float(np.sum(mags))
+
+
 def norm_sq(x, sig: Signature) -> float:
     """<x, x> as a real number: ||x[:p]||^2 - ||x[p:]||^2."""
-    x = _check_vector(x, sig)
-    mags = x.real**2 + x.imag**2
-    return float(np.sum(mags[: sig.p]) - np.sum(mags[sig.p :]))
+    return _cone_margin(_check_vector(x, sig), sig.p)[0]
 
 
 def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
@@ -82,11 +86,9 @@ def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
     ``|norm_sq(x)| <= tol * ||x||_2^2``, so the verdict does not change
     under rescaling of x.
     """
-    x = _check_vector(x, sig)
-    e2 = float(np.sum(x.real**2 + x.imag**2))
+    ns, e2 = _cone_margin(_check_vector(x, sig), sig.p)
     if e2 == 0.0:
         raise ZeroVector("cannot classify the zero vector")
-    ns = norm_sq(x, sig)
     if ns > tol * e2:
         return ConeClass.TIMELIKE
     if ns < -tol * e2:

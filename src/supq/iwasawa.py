@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import check_admissible_an, check_admissible_q
-from .errors import NoConvergence, NotAdmissible, NotDecomposable, NotInAN, NotInG, NotInG0, WrongInertia
+from .admissible import _admissibility_report
+from .errors import NoConvergence, NotAdmissible, NotDecomposable, NotInAN, NotInG, NotInG0, NotInQ, WrongInertia
 from .groups import GroupTag, is_member
-from .indefinite import Signature, dagger
+from .indefinite import Signature, _cone_margin, dagger
 from .kernel import DEFAULT_TOL, as_cmatrix, eig, mat_exp, signed_ldl, solve_upper_triangular
 
 
@@ -66,6 +66,16 @@ def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     return dagger(b, sig) @ b
 
 
+def _check_g(g, sig: Signature, tol: float) -> np.ndarray:
+    """The public boundary of the routes: ``g`` as an n x n det-1 matrix."""
+    g = as_cmatrix(g, square=True)
+    if g.shape[0] != sig.n:
+        raise NotInG(f"matrix of size {g.shape[0]} does not match n={sig.n}")
+    if not is_member(g, GroupTag.G, sig, tol):
+        raise NotInG()
+    return g
+
+
 def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     """Factor g = s b by pseudo-orthonormalizing the columns of g.
 
@@ -86,21 +96,15 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         (|norm_sq| <= tol * ||r||_2^2), or ``kind="wrong_cone"`` when it has
         the wrong causal type.  ``index`` is the offending column, 1-based.
     """
-    g = as_cmatrix(g, square=True)
+    g = _check_g(g, sig, tol)
     n, p = sig.n, sig.p
-    if g.shape[0] != n:
-        raise NotInG(f"matrix of size {g.shape[0]} does not match n={n}")
-    if not is_member(g, GroupTag.G, sig, tol):
-        raise NotInG()
     j = sig.j_diag
     # Columns are reduced and then normalised in place: R ends as s.
     R = g.copy()
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         r = R[:, k]
-        mags = r.real**2 + r.imag**2
-        ns = float(np.sum(mags[:p]) - np.sum(mags[p:]))
-        e2 = float(np.sum(mags))
+        ns, e2 = _cone_margin(r, p)
         if abs(ns) <= tol * e2:
             raise NotDecomposable(
                 f"column {k + 1}: residual is null to tolerance (factorization boundary)",
@@ -149,15 +153,16 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         If a pivot of J h vanishes to tolerance (boundary case).
     WrongInertia
         If a pivot has the wrong sign (g lies in another cell).
+    NotDecomposable
+        Of kind ``unitary_check`` if s is not pseudo-unitary (index: worst column).
     """
-    g = as_cmatrix(g, square=True)
+    return _gauss(_check_g(g, sig, tol), sig, tol)
+
+
+def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
+    """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     n, p = sig.n, sig.p
-    if g.shape[0] != n:
-        raise NotInG(f"matrix of size {g.shape[0]} does not match n={n}")
-    if not is_member(g, GroupTag.G, sig, tol):
-        raise NotInG()
-    h = dagger(g, sig) @ g
-    jh = sig.j_diag[:, None] * h
+    jh = sig.j_diag[:, None] * (dagger(g, sig) @ g)
     L, d = signed_ldl(jh, tol)
     for k in range(n):
         if (d[k] > 0) != (k < p):
@@ -165,18 +170,22 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     a = np.sqrt(np.abs(d))
     n_factor = L.conj().T
     b = a[:, None] * n_factor
-    b_inv = solve_upper_triangular(b, np.eye(n, dtype=np.complex128), tol)
+    # signed_ldl certified every pivot, so tol * ||b||_F must not re-judge a_k.
+    b_inv = solve_upper_triangular(b, np.eye(n, dtype=np.complex128), 0.0)
     s = g @ b_inv
     # A wrong factorization leaves an O(1) pseudo-unitarity defect; an
     # honest one leaves roughly eps * cond(b)^2, so the acceptance window
     # widens with the conditioning of the triangular factor (capped well
-    # below O(1)).
+    # below O(1)).  det(s) = det(g) / prod(a), prod(a) > 0: g's det window covers s.
     cond_b = float(np.linalg.norm(b)) * float(np.linalg.norm(b_inv))
-    eps = float(np.finfo(np.float64).eps)
-    unitary_tol = min(max(100.0 * tol, 64.0 * eps * cond_b**2), 1e-2)
-    if not is_member(s, GroupTag.G0, sig, unitary_tol):
+    unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b**2), 1e-2)
+    gram_defect = dagger(s, sig) @ s - np.eye(n)
+    defect = float(np.linalg.norm(gram_defect))
+    window = unitary_tol * max(1.0, float(np.linalg.norm(s)))
+    if not defect <= window:
         raise NotDecomposable(
-            "recovered factor failed the pseudo-unitarity check", kind="unitary_check"
+            f"recovered factor failed the pseudo-unitarity check: defect {defect:.3e} > {window:.3e}",
+            index=int(np.argmax(np.linalg.norm(gram_defect, axis=0))) + 1, kind="unitary_check",
         )
     residual = float(np.linalg.norm(g - s @ b))
     return DecompPair(s=s, b=b, a=a, n_factor=n_factor, residual=residual)
@@ -200,7 +209,7 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
         raise NotInAN()
     if not is_member(g, GroupTag.G0, sig, tol):
         raise NotInG0()
-    pair = decompose_gauss(b @ g, sig, tol)
+    pair = _gauss(b @ g, sig, tol)
     return DressResult(g_prime=pair.s, b_prime=pair.b)
 
 
@@ -213,22 +222,24 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises
     ------
-    NotAdmissible
-        If the admissibility check fails; the report is attached.
+    NotInQ, NotAdmissible
+        If ``s`` is not in Q to tolerance, or is not admissible; the report
+        is attached to NotAdmissible.
     NoConvergence
         If exp of the result does not reproduce ``s`` to tolerance.
     """
     s = as_cmatrix(s, square=True)
-    report = check_admissible_q(s, sig, tol)
+    if not is_member(s, GroupTag.Q, sig, tol):
+        raise NotInQ()
+    result = eig(s)
+    report = _admissibility_report(result, sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
-    n = sig.n
-    result = eig(s)
     V = result.vectors
     logw = np.log(result.values.real)
     X = np.linalg.solve(V.T, (V * logw).T).T
     X = 0.5 * (X + dagger(X, sig))
-    X -= (np.trace(X).real / n) * np.eye(n)
+    X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
     defect = np.linalg.norm(mat_exp(X) - s)
     if defect > 10.0 * tol * max(1.0, float(np.linalg.norm(s))):
         raise NoConvergence(f"log reconstruction defect {defect:.3e} exceeds tolerance")
@@ -243,20 +254,20 @@ def decompose_g_admissible(
     Succeeds when g is decomposable *and* the triangular factor is
     admissible.  Returns ``(s, b, singular_spectrum)`` where the singular
     spectrum lists the square roots of the eigenvalues of dagger(g) g in
-    descending order (real and positive in the admissible case).
+    descending order (real and positive in the admissible case).  They are
+    read off the admissibility report of sym(b) = dagger(b) b, which equals
+    dagger(g) g because dagger(s) s = I.
 
     Raises
     ------
-    NotDecomposable
-        If g lies outside the identity cell.
+    NotInG, NotDecomposable
+        If det(g) is not 1 to tolerance, or g lies outside the identity cell.
     NotAdmissible
         If the triangular factor fails the admissibility check.
     """
-    g = as_cmatrix(g, square=True)
     pair = decompose_gauss(g, sig, tol)
-    report = check_admissible_an(pair.b, sig, tol)
+    report = _admissibility_report(eig(dagger(pair.b, sig) @ pair.b), sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
-    h_vals = eig(dagger(g, sig) @ g).values
-    spectrum = np.sqrt(np.maximum(h_vals.real, 0.0))
+    spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))
     return pair.s, pair.b, spectrum

@@ -81,6 +81,17 @@ def test_decompose_non_unimodular_exits_3(tmp_path, capsys):
     assert rep["diagnostics"]["error_code"] == "invalid_input"
 
 
+@pytest.mark.parametrize("method", ["gauss", "gs", "both"])
+def test_decompose_widely_scaled_triangular_element(tmp_path, capsys, method):
+    # diag(1e5, 1e-1, 1e-4) lies in AN, so s = I and b = g on both routes
+    g = np.diag([1e5, 1e-1, 1e-4])
+    path = _write_doc(tmp_path, "g.json", g, sig=Signature(2, 1))
+    code, rep = _run_json(capsys, ["decompose", "--in", path, "--method", method])
+    assert code == 0
+    np.testing.assert_array_equal(_doc_to_matrix(rep["outputs"]["s"]), np.eye(3))
+    np.testing.assert_array_equal(_doc_to_matrix(rep["outputs"]["b"]), g)
+
+
 def test_decompose_human_output(tmp_path, capsys):
     path = _write_doc(tmp_path, "id.json", np.eye(2))
     code = cli.main(["decompose", "--in", path])

@@ -1,8 +1,12 @@
 """Decomposition routes, the dressing action, symmetrization, the Q logarithm."""
 
+import re
+
 import numpy as np
 import pytest
 
+from supq import admissible, groups, iwasawa
+from supq.admissible import check_admissible_an
 from supq.errors import (
     NotAdmissible,
     NotDecomposable,
@@ -234,6 +238,85 @@ def test_decompose_rejects_non_unimodular():
 def test_decompose_rejects_wrong_size():
     with pytest.raises(NotInG):
         decompose_gauss(np.eye(3), SIG11)
+
+
+def test_widely_scaled_triangular_element_is_its_own_factor():
+    # signed_ldl certifies a_3 = 1e-4; the back-substitution must not reject
+    # it a second time for being small next to ||b||_F = 1e5
+    g = np.diag([1e5, 1e-1, 1e-4]).astype(complex)
+    for pair in (decompose_gauss(g, SIG21), decompose_gs(g, SIG21)):
+        np.testing.assert_array_equal(pair.s, np.eye(3))
+        np.testing.assert_array_equal(pair.b, g)
+    out = dress(g, np.eye(3), SIG21)
+    np.testing.assert_array_equal(out.g_prime, np.eye(3))
+    np.testing.assert_array_equal(out.b_prime, g)
+    s, b, spectrum = decompose_g_admissible(g, SIG21)
+    np.testing.assert_array_equal(b, g)
+    np.testing.assert_allclose(spectrum, [1e5, 1e-1, 1e-4], rtol=1e-12)
+
+
+def test_unitary_check_reports_the_worst_column(monkeypatch):
+    # scaling pivot 3 by 1.01 scales column 3 of s by 1/sqrt(1.01), which
+    # leaves a defect of 1 - 1/1.01 in entry (3, 3) of dagger(s) s - I
+    real_ldl = iwasawa.signed_ldl
+
+    def perturbed_ldl(H, tol):
+        L, d = real_ldl(H, tol)
+        d[2] *= 1.01
+        return L, d
+
+    monkeypatch.setattr(iwasawa, "signed_ldl", perturbed_ldl)
+    sig = Signature(2, 2)
+    g = random_decomposable(sig, np.random.default_rng(61))
+    with pytest.raises(NotDecomposable) as exc_info:
+        decompose_gauss(g, sig)
+    assert exc_info.value.kind == "unitary_check"
+    assert exc_info.value.index == 3
+    assert re.search(r"defect 9\.90\de-03 > \d\.\d{3}e-\d\d", str(exc_info.value))
+
+
+# Determinant windows (the SVD + LU of groups._det_is_one) and
+# eigendecompositions per public call at n = 4: each input is validated
+# once, and no intermediate the library built is validated again.
+VALIDATION_BUDGET = {
+    "dress": (2, 0),
+    "decompose_gauss": (1, 0),
+    "check_admissible_an": (1, 1),
+    "decompose_g_admissible": (1, 1),
+    "q_log": (1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_BUDGET))
+def test_public_calls_validate_once(monkeypatch, name):
+    sig = Signature(2, 2)
+    rng = np.random.default_rng(67)
+    b = random_admissible_an(sig, rng, gap=0.1, spread=0.7)
+    g0 = random_g0(sig, rng, spread=0.7)
+    g = random_decomposable(sig, rng, gap=0.1)
+    s = random_admissible_q(sig, rng, gap=0.1, spread=0.7)
+    calls = {
+        "dress": lambda: dress(b, g0, sig),
+        "decompose_gauss": lambda: decompose_gauss(g, sig),
+        "check_admissible_an": lambda: check_admissible_an(b, sig),
+        "decompose_g_admissible": lambda: decompose_g_admissible(g, sig),
+        "q_log": lambda: q_log(s, sig),
+    }
+    counts = {"det": 0, "eig": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(groups, "_det_is_one", counting("det", groups._det_is_one))
+    counted_eig = counting("eig", iwasawa.eig)
+    monkeypatch.setattr(iwasawa, "eig", counted_eig)
+    monkeypatch.setattr(admissible, "eig", counted_eig)
+    calls[name]()
+    assert (counts["det"], counts["eig"]) == VALIDATION_BUDGET[name]
 
 
 # ---------------------------------------------------------------------------
