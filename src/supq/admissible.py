@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInAN, NotInQ, NotTimelike
 from .groups import GroupTag, is_member
-from .indefinite import ConeClass, Signature, classify, dagger, norm_sq, pairing, sample_cone
+from .indefinite import ConeClass, Signature, _dagger, classify, norm_sq, pairing, sample_cone
 from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, as_cvector, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
@@ -153,7 +153,7 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     b = as_cmatrix(b, square=True)
     if not is_member(b, GroupTag.AN, sig, tol):
         raise NotInAN()
-    return _admissibility_report(eig(dagger(b, sig) @ b), sig, tol)
+    return _admissibility_report(eig(_dagger(b, sig.j_diag) @ b), sig, tol)
 
 
 def cone_preservation_check(

@@ -12,6 +12,7 @@ element is not decomposable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -174,6 +175,7 @@ def _print_selftest_human(report: dict) -> None:
     print("all passed" if outputs["all_passed"] else "some suites FAILED")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supq",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .indefinite import Signature, dagger
+from .indefinite import Signature, _dagger, dagger
 from .kernel import DEFAULT_TOL, as_cmatrix, mat_exp
 
 
@@ -38,12 +38,18 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     number kappa carries a relative error of order eps * kappa, so the
     acceptance window widens with conditioning (capped so that clearly
     wrong determinants are still rejected)."""
+    miss = abs(np.linalg.det(M) - 1.0)
+    # The allowance below is never less than tol (numpy reports the cond of
+    # a finite singular matrix as inf, not NaN), so the SVD is needed only
+    # for a determinant outside the plain window.
+    if miss <= tol:
+        return True
     try:
         cond = float(np.linalg.cond(M))
     except np.linalg.LinAlgError:
         cond = np.inf
     allowance = tol * float(np.clip(cond, 1.0, 1e6))
-    return abs(np.linalg.det(M) - 1.0) <= allowance
+    return miss <= allowance
 
 
 def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> bool:
@@ -52,8 +58,9 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     Structural zeros (below-diagonal entries for the triangular family) and
     symmetry defects are compared against ``tol * max(1, ||M||_F)``; the
     determinant against a conditioning-aware window around 1.  The
-    determinant window (an SVD and an LU) is evaluated last, and only for
-    the sets that constrain the determinant.
+    determinant window (an LU, plus an SVD when the determinant misses 1
+    by more than ``tol``) is evaluated last, and only for the sets that
+    constrain the determinant.
     """
     M = as_cmatrix(M, square=True)
     n = sig.n
@@ -63,10 +70,10 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
         return _det_is_one(M, tol)
     scale = max(1.0, float(np.linalg.norm(M)))
     if tag is GroupTag.G0:
-        defect = np.linalg.norm(dagger(M, sig) @ M - np.eye(n))
+        defect = np.linalg.norm(_dagger(M, sig.j_diag) @ M - np.eye(n))
         return defect <= tol * scale and _det_is_one(M, tol)
     if tag is GroupTag.Q:
-        return np.linalg.norm(dagger(M, sig) - M) <= tol * scale and _det_is_one(M, tol)
+        return np.linalg.norm(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
 
     strictly_lower_ok = np.linalg.norm(np.tril(M, -1)) <= tol * scale
     diag = np.diagonal(M)

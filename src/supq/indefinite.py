@@ -104,7 +104,12 @@ def dagger(A, sig: Signature) -> np.ndarray:
     A = as_cmatrix(A, square=True)
     if A.shape[0] != sig.n:
         raise DimensionMismatch(f"matrix of size {A.shape[0]} does not match n={sig.n}")
-    j = sig.j_diag
+    return _dagger(A, sig.j_diag)
+
+
+def _dagger(A: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`dagger` of a validated or library-built n x n complex matrix,
+    with ``j`` the signature's :attr:`Signature.j_diag`."""
     return (j[:, None] * A.conj().T) * j[None, :]
 
 

@@ -26,8 +26,8 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NotAdmissible, NotDecomposable, NotInAN, NotInG, NotInG0, NotInQ, WrongInertia
 from .groups import GroupTag, is_member
-from .indefinite import Signature, _cone_margin, dagger
-from .kernel import DEFAULT_TOL, as_cmatrix, eig, mat_exp, signed_ldl, solve_upper_triangular
+from .indefinite import Signature, _cone_margin, _dagger
+from .kernel import DEFAULT_TOL, _signed_ldl, as_cmatrix, eig, mat_exp
 
 
 @dataclass
@@ -63,7 +63,7 @@ def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     b = as_cmatrix(b, square=True)
     if not is_member(b, GroupTag.AN, sig, tol):
         raise NotInAN()
-    return dagger(b, sig) @ b
+    return _dagger(b, sig.j_diag) @ b
 
 
 def _check_g(g, sig: Signature, tol: float) -> np.ndarray:
@@ -142,8 +142,7 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     a_k = sqrt(|d_k|).  Existence demands d_k > 0 for k <= p and d_k < 0
     after, i.e. the running pivot products match the leading principal
     minors of J h in the inertia forced by J.  Then b = diag(a) n, and
-    s = g b^{-1} is recovered with a triangular back-substitution (never a
-    general inverse) and verified to be pseudo-unitary.
+    s = g b^{-1} is recovered and verified to be pseudo-unitary.
 
     Raises
     ------
@@ -162,16 +161,19 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     n, p = sig.n, sig.p
-    jh = sig.j_diag[:, None] * (dagger(g, sig) @ g)
-    L, d = signed_ldl(jh, tol)
+    j = sig.j_diag
+    jh = j[:, None] * (_dagger(g, j) @ g)
+    L, d = _signed_ldl(jh, tol)
     for k in range(n):
         if (d[k] > 0) != (k < p):
             raise WrongInertia(k + 1)
     a = np.sqrt(np.abs(d))
     n_factor = L.conj().T
     b = a[:, None] * n_factor
-    # signed_ldl certified every pivot, so tol * ||b||_F must not re-judge a_k.
-    b_inv = solve_upper_triangular(b, np.eye(n, dtype=np.complex128), 0.0)
+    # _signed_ldl certified every a_k > 0, so tol * ||b||_F must not re-judge
+    # a_k, and partial pivoting swaps no rows of this upper triangular b: the
+    # LU inverse is a plain back-substitution.
+    b_inv = np.linalg.inv(b)
     s = g @ b_inv
     # A wrong factorization leaves an O(1) pseudo-unitarity defect; an
     # honest one leaves roughly eps * cond(b)^2, so the acceptance window
@@ -179,7 +181,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     # below O(1)).  det(s) = det(g) / prod(a), prod(a) > 0: g's det window covers s.
     cond_b = float(np.linalg.norm(b)) * float(np.linalg.norm(b_inv))
     unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b**2), 1e-2)
-    gram_defect = dagger(s, sig) @ s - np.eye(n)
+    gram_defect = _dagger(s, j) @ s - np.eye(n)
     defect = float(np.linalg.norm(gram_defect))
     window = unitary_tol * max(1.0, float(np.linalg.norm(s)))
     if not defect <= window:
@@ -238,7 +240,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     V = result.vectors
     logw = np.log(result.values.real)
     X = np.linalg.solve(V.T, (V * logw).T).T
-    X = 0.5 * (X + dagger(X, sig))
+    X = 0.5 * (X + _dagger(X, sig.j_diag))
     X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
     defect = np.linalg.norm(mat_exp(X) - s)
     if defect > 10.0 * tol * max(1.0, float(np.linalg.norm(s))):
@@ -266,7 +268,7 @@ def decompose_g_admissible(
         If the triangular factor fails the admissibility check.
     """
     pair = decompose_gauss(g, sig, tol)
-    report = _admissibility_report(eig(dagger(pair.b, sig) @ pair.b), sig, tol)
+    report = _admissibility_report(eig(_dagger(pair.b, sig.j_diag) @ pair.b), sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
     spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))

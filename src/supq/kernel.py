@@ -6,16 +6,20 @@ signed LDL* factorization, and triangular solves, all on numpy
 Everything here is signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
+scipy is imported on the first call of :func:`mat_exp` or
+:func:`solve_upper_triangular`, not with the module: the decomposition,
+membership and admissibility paths run on numpy alone.
+
 Sizes are desk scale (the eigensolver is capped at n = 32), so
 the emphasis is on exact contracts and sharp failure modes, not throughput.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -64,6 +68,8 @@ def as_cvector(x) -> np.ndarray:
 
 def mat_exp(X) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring, via scipy)."""
+    import scipy.linalg
+
     X = as_cmatrix(X, square=True)
     return scipy.linalg.expm(X)
 
@@ -141,9 +147,20 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     SingularMinor
         If the k-th pivot is zero to tolerance (1-based k).
     """
-    H = as_cmatrix(H, square=True)
+    return _signed_ldl(as_cmatrix(H, square=True), tol)
+
+
+def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`signed_ldl` on a square complex128 ``H`` built by the library.
+
+    Keeps the Hermitian test (``tol`` may lie below roundoff) and turns an
+    overflowed entry into the :class:`NonFiniteInput` that validating ``H``
+    would have raised.
+    """
     n = H.shape[0]
     scale = float(np.linalg.norm(H))
+    if not math.isfinite(scale) and not np.all(np.isfinite(H)):
+        raise NonFiniteInput("matrix contains NaN or Inf entries")
     if np.linalg.norm(H - H.conj().T) > tol * scale:
         raise NotHermitian("signed_ldl needs a Hermitian input")
     Hs = 0.5 * (H + H.conj().T)
@@ -169,6 +186,8 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
     entry with ``|U_kk| <= tol * ||U||_F`` raises :class:`SingularDiagonal`
     (1-based index).
     """
+    import scipy.linalg
+
     U = as_cmatrix(U, square=True)
     B = as_cmatrix(B)
     if U.shape[0] != B.shape[0]:

@@ -81,6 +81,37 @@ def test_clearly_wrong_determinant_rejected_at_any_scale():
     assert not is_member(M, GroupTag.G, SIG11)
 
 
+def test_det_window_skips_the_svd_for_a_det_one_element(monkeypatch):
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond ran inside the plain window")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    M = np.array([[SQ2, 1.0], [1.0, SQ2]], dtype=complex)  # det 1, cond 5.8
+    assert is_member(M, GroupTag.G, SIG11)
+    assert is_member(M, GroupTag.G0, SIG11)
+
+
+@pytest.mark.parametrize(
+    "scale, miss, member",
+    [
+        (1e3, 1e-6, True),  # tol < miss <= tol * cond(M), cond(M) about 1e6
+        (1e5, 1e-2, False),  # miss > tol * 1e6: the window's cap still rejects
+    ],
+)
+def test_det_window_outside_the_plain_window_uses_cond(monkeypatch, scale, miss, member):
+    real_cond = np.linalg.cond
+    calls = []
+
+    def counted_cond(A):
+        calls.append(A)
+        return real_cond(A)
+
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    M = np.diag([scale, (1.0 + miss) / scale]).astype(complex)
+    assert is_member(M, GroupTag.G, SIG11) == member
+    assert len(calls) == 1
+
+
 def test_is_member_dimension_check():
     with pytest.raises(DimensionMismatch):
         is_member(np.eye(3), GroupTag.G, SIG11)

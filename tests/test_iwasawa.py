@@ -258,14 +258,14 @@ def test_widely_scaled_triangular_element_is_its_own_factor():
 def test_unitary_check_reports_the_worst_column(monkeypatch):
     # scaling pivot 3 by 1.01 scales column 3 of s by 1/sqrt(1.01), which
     # leaves a defect of 1 - 1/1.01 in entry (3, 3) of dagger(s) s - I
-    real_ldl = iwasawa.signed_ldl
+    real_ldl = iwasawa._signed_ldl
 
     def perturbed_ldl(H, tol):
         L, d = real_ldl(H, tol)
         d[2] *= 1.01
         return L, d
 
-    monkeypatch.setattr(iwasawa, "signed_ldl", perturbed_ldl)
+    monkeypatch.setattr(iwasawa, "_signed_ldl", perturbed_ldl)
     sig = Signature(2, 2)
     g = random_decomposable(sig, np.random.default_rng(61))
     with pytest.raises(NotDecomposable) as exc_info:
