@@ -17,6 +17,7 @@ from supq.indefinite import Signature
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
+
 def _imported_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):

@@ -8,6 +8,7 @@ import pytest
 from supq import admissible, groups, iwasawa
 from supq.admissible import check_admissible_an
 from supq.errors import (
+    NonFiniteInput,
     NotAdmissible,
     NotDecomposable,
     NotInAN,
@@ -238,6 +239,14 @@ def test_decompose_rejects_non_unimodular():
 def test_decompose_rejects_wrong_size():
     with pytest.raises(NotInG):
         decompose_gauss(np.eye(3), SIG11)
+
+
+def test_overflowing_gram_matrix_is_non_finite_input():
+    # det(g) = 1, but the entries of dagger(g) g overflow to inf
+    g = np.eye(2, dtype=complex)
+    g[1, 0] = 1e154 * (1 + 1j)
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore", invalid="ignore"):
+        decompose_gauss(g, SIG11)
 
 
 def test_widely_scaled_triangular_element_is_its_own_factor():
