@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInAN, NotInQ, NotTimelike
-from .groups import GroupTag, is_member
-from .indefinite import ConeClass, Signature, _dagger, classify, norm_sq, pairing, sample_cone
-from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, as_cvector, eig
+from .errors import DimensionMismatch, NotTimelike
+from .groups import GroupTag, _require
+from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margin,
+                         _dagger, _pairing, classify, sample_cone)
+from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
 #: defective eigenvalue splits numerically by about sqrt(eps), leaving each
@@ -86,12 +87,9 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     Raises
     ------
     NotInQ
-        If ``s`` is not dagger-fixed with unit determinant to tolerance.
+        If ``s`` is not an n x n dagger-fixed matrix with unit determinant to tolerance.
     """
-    s = as_cmatrix(s, square=True)
-    if not is_member(s, GroupTag.Q, sig, tol):
-        raise NotInQ()
-    return _admissibility_report(eig(s), sig, tol)
+    return _admissibility_report(eig(_require(s, GroupTag.Q, sig, tol)), sig, tol)
 
 
 def _admissibility_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
@@ -147,12 +145,10 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     Raises
     ------
     NotInAN
-        If ``b`` is not upper triangular with positive real diagonal and
+        If ``b`` is not an n x n upper triangular matrix with positive real diagonal and
         unit determinant to tolerance.
     """
-    b = as_cmatrix(b, square=True)
-    if not is_member(b, GroupTag.AN, sig, tol):
-        raise NotInAN()
+    b = _require(b, GroupTag.AN, sig, tol)
     return _admissibility_report(eig(_dagger(b, sig.j_diag) @ b), sig, tol)
 
 
@@ -165,9 +161,7 @@ def cone_preservation_check(
     False as soon as some image ``s @ x`` fails to classify as timelike.
     A True verdict is probabilistic evidence, not a proof.
     """
-    s = as_cmatrix(s, square=True)
-    if s.shape[0] != sig.n:
-        raise DimensionMismatch(f"matrix of size {s.shape[0]} does not match n={sig.n}")
+    s = _check_matrix(s, sig)
     rng = np.random.default_rng(seed)
     for i in range(trials):
         cls = ConeClass.TIMELIKE if i % 2 == 0 else ConeClass.NULL
@@ -188,12 +182,11 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     NotTimelike
         If x does not classify as timelike.
     """
-    s = as_cmatrix(s, square=True)
-    x = as_cvector(x)
-    if classify(x, sig, tol) is not ConeClass.TIMELIKE:
+    s = _check_matrix(s, sig)
+    x = _check_vector(x, sig)
+    if _classify(x, sig.p, tol) is not ConeClass.TIMELIKE:
         raise NotTimelike("pseudo_rayleigh needs a timelike vector")
-    num = pairing(s @ x, x, sig)
-    return num.real / norm_sq(x, sig)
+    return _pairing(s @ x, x, sig.j_diag).real / _cone_margin(x, sig.p)[0]
 
 
 def leading_minors(s) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .indefinite import Signature, _dagger, dagger
+from .errors import NotInAN, NotInG, NotInG0, NotInQ
+from .indefinite import Signature, _check_matrix, _dagger, dagger
 from .kernel import DEFAULT_TOL, as_cmatrix, mat_exp
 
 
@@ -62,10 +62,8 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     by more than ``tol``) is evaluated last, and only for the sets that
     constrain the determinant.
     """
-    M = as_cmatrix(M, square=True)
+    M = _check_matrix(M, sig)
     n = sig.n
-    if M.shape[0] != n:
-        raise DimensionMismatch(f"matrix of size {M.shape[0]} does not match n={n}")
     if tag is GroupTag.G:
         return _det_is_one(M, tol)
     scale = max(1.0, float(np.linalg.norm(M)))
@@ -88,6 +86,21 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     if tag is GroupTag.AN:
         return strictly_lower_ok and diag_pos and _det_is_one(M, tol)
     raise ValueError(f"unknown group tag {tag!r}")
+
+
+_NOT_IN = {GroupTag.G: NotInG, GroupTag.G0: NotInG0, GroupTag.Q: NotInQ, GroupTag.AN: NotInAN}
+
+
+def _require(M, tag: GroupTag, sig: Signature, tol: float) -> np.ndarray:
+    """The input guard of a membership-gated public call: ``M`` as a
+    validated complex matrix in ``tag``'s set, else that set's
+    :class:`~supq.errors.MembershipError` (a wrong size included)."""
+    M = as_cmatrix(M, square=True)
+    if M.shape[0] != sig.n:
+        raise _NOT_IN[tag](f"matrix of size {M.shape[0]} does not match n={sig.n}")
+    if not is_member(M, tag, sig, tol):
+        raise _NOT_IN[tag]()
+    return M
 
 
 @dataclass(frozen=True)

@@ -61,11 +61,21 @@ def _check_vector(x, sig: Signature) -> np.ndarray:
     return v
 
 
+def _check_matrix(M, sig: Signature) -> np.ndarray:
+    A = as_cmatrix(M, square=True)
+    if A.shape[0] != sig.n:
+        raise DimensionMismatch(f"matrix of size {A.shape[0]} does not match n={sig.n}")
+    return A
+
+
 def pairing(x, y, sig: Signature) -> complex:
     """The indefinite pairing <x, y>, linear in x and conjugate-linear in y."""
-    x = _check_vector(x, sig)
-    y = _check_vector(y, sig)
-    return complex(np.sum(sig.j_diag * x * np.conj(y)))
+    return _pairing(_check_vector(x, sig), _check_vector(y, sig), sig.j_diag)
+
+
+def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:
+    """:func:`pairing` of validated vectors, ``j`` the signature's :attr:`Signature.j_diag`."""
+    return complex(np.sum(j * x * np.conj(y)))
 
 
 def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float]:
@@ -86,7 +96,12 @@ def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
     ``|norm_sq(x)| <= tol * ||x||_2^2``, so the verdict does not change
     under rescaling of x.
     """
-    ns, e2 = _cone_margin(_check_vector(x, sig), sig.p)
+    return _classify(_check_vector(x, sig), sig.p, tol)
+
+
+def _classify(x: np.ndarray, p: int, tol: float) -> ConeClass:
+    """:func:`classify` of an already validated vector."""
+    ns, e2 = _cone_margin(x, p)
     if e2 == 0.0:
         raise ZeroVector("cannot classify the zero vector")
     if ns > tol * e2:
@@ -101,10 +116,7 @@ def dagger(A, sig: Signature) -> np.ndarray:
 
     Satisfies pairing(A x, y) = pairing(x, dagger(A) y).
     """
-    A = as_cmatrix(A, square=True)
-    if A.shape[0] != sig.n:
-        raise DimensionMismatch(f"matrix of size {A.shape[0]} does not match n={sig.n}")
-    return _dagger(A, sig.j_diag)
+    return _dagger(_check_matrix(A, sig), sig.j_diag)
 
 
 def _dagger(A: np.ndarray, j: np.ndarray) -> np.ndarray:

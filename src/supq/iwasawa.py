@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import _admissibility_report
-from .errors import NoConvergence, NotAdmissible, NotDecomposable, NotInAN, NotInG, NotInG0, NotInQ, WrongInertia
-from .groups import GroupTag, is_member
+from .errors import NoConvergence, NotAdmissible, NotDecomposable, WrongInertia
+from .groups import GroupTag, _require
 from .indefinite import Signature, _cone_margin, _dagger
-from .kernel import DEFAULT_TOL, _signed_ldl, as_cmatrix, eig, mat_exp
+from .kernel import DEFAULT_TOL, _signed_ldl, eig, mat_exp
 
 
 @dataclass
@@ -60,20 +60,8 @@ def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     Maps AN into the dagger-fixed set Q, is injective there, and turns the
     dressing action into conjugation.
     """
-    b = as_cmatrix(b, square=True)
-    if not is_member(b, GroupTag.AN, sig, tol):
-        raise NotInAN()
+    b = _require(b, GroupTag.AN, sig, tol)
     return _dagger(b, sig.j_diag) @ b
-
-
-def _check_g(g, sig: Signature, tol: float) -> np.ndarray:
-    """The public boundary of the routes: ``g`` as an n x n det-1 matrix."""
-    g = as_cmatrix(g, square=True)
-    if g.shape[0] != sig.n:
-        raise NotInG(f"matrix of size {g.shape[0]} does not match n={sig.n}")
-    if not is_member(g, GroupTag.G, sig, tol):
-        raise NotInG()
-    return g
 
 
 def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
@@ -90,13 +78,13 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     Raises
     ------
     NotInG
-        If det(g) is not 1 to tolerance.
+        If g is not n x n with det(g) = 1 to tolerance.
     NotDecomposable
         With ``kind="null_boundary"`` when a residual is null to tolerance
         (|norm_sq| <= tol * ||r||_2^2), or ``kind="wrong_cone"`` when it has
         the wrong causal type.  ``index`` is the offending column, 1-based.
     """
-    g = _check_g(g, sig, tol)
+    g = _require(g, GroupTag.G, sig, tol)
     n, p = sig.n, sig.p
     j = sig.j_diag
     # Columns are reduced and then normalised in place: R ends as s.
@@ -147,7 +135,7 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     Raises
     ------
     NotInG
-        If det(g) is not 1 to tolerance.
+        If g is not n x n with det(g) = 1 to tolerance.
     SingularMinor
         If a pivot of J h vanishes to tolerance (boundary case).
     WrongInertia
@@ -155,7 +143,7 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     NotDecomposable
         Of kind ``unitary_check`` if s is not pseudo-unitary (index: worst column).
     """
-    return _gauss(_check_g(g, sig, tol), sig, tol)
+    return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
 
 
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
@@ -201,16 +189,12 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     Raises
     ------
     NotInAN, NotInG0
-        If the inputs fail their membership preconditions.
+        If an input is not n x n or fails its membership precondition.
     NotDecomposable
         If b g lies outside the identity cell.
     """
-    b = as_cmatrix(b, square=True)
-    g = as_cmatrix(g, square=True)
-    if not is_member(b, GroupTag.AN, sig, tol):
-        raise NotInAN()
-    if not is_member(g, GroupTag.G0, sig, tol):
-        raise NotInG0()
+    b = _require(b, GroupTag.AN, sig, tol)
+    g = _require(g, GroupTag.G0, sig, tol)
     pair = _gauss(b @ g, sig, tol)
     return DressResult(g_prime=pair.s, b_prime=pair.b)
 
@@ -230,9 +214,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     NoConvergence
         If exp of the result does not reproduce ``s`` to tolerance.
     """
-    s = as_cmatrix(s, square=True)
-    if not is_member(s, GroupTag.Q, sig, tol):
-        raise NotInQ()
+    s = _require(s, GroupTag.Q, sig, tol)
     result = eig(s)
     report = _admissibility_report(result, sig, tol)
     if not report.admissible:
@@ -263,7 +245,7 @@ def decompose_g_admissible(
     Raises
     ------
     NotInG, NotDecomposable
-        If det(g) is not 1 to tolerance, or g lies outside the identity cell.
+        If g is not n x n with det 1 to tolerance, or lies outside the identity cell.
     NotAdmissible
         If the triangular factor fails the admissibility check.
     """

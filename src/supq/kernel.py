@@ -16,7 +16,6 @@ the emphasis is on exact contracts and sharp failure modes, not throughput.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,22 +146,24 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     SingularMinor
         If the k-th pivot is zero to tolerance (1-based k).
     """
-    return _signed_ldl(as_cmatrix(H, square=True), tol)
+    H = as_cmatrix(H, square=True)
+    if np.linalg.norm(H - H.conj().T) > tol * float(np.linalg.norm(H)):
+        raise NotHermitian("signed_ldl needs a Hermitian input")
+    return _signed_ldl(H, tol)
 
 
 def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`signed_ldl` on a square complex128 ``H`` built by the library.
+    """:func:`signed_ldl` on a square complex128 ``H`` that is Hermitian up
+    to roundoff, such as one the library built as ``J dagger(g) g``.
 
-    Keeps the Hermitian test (``tol`` may lie below roundoff) and turns an
-    overflowed entry into the :class:`NonFiniteInput` that validating ``H``
-    would have raised.
+    Judges no symmetry: it factors the Hermitian part ``(H + H*) / 2``, so a
+    roundoff-level asymmetry never fails a call made with ``tol`` below
+    roundoff.  An overflowed entry raises the :class:`NonFiniteInput` that
+    validating ``H`` would have raised.
     """
     n = H.shape[0]
-    scale = float(np.linalg.norm(H))
-    if not math.isfinite(scale) and not np.all(np.isfinite(H)):
+    if not np.all(np.isfinite(H)):
         raise NonFiniteInput("matrix contains NaN or Inf entries")
-    if np.linalg.norm(H - H.conj().T) > tol * scale:
-        raise NotHermitian("signed_ldl needs a Hermitian input")
     Hs = 0.5 * (H + H.conj().T)
     L = np.eye(n, dtype=np.complex128)
     d = np.zeros(n)

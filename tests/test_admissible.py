@@ -222,6 +222,11 @@ def test_pseudo_rayleigh_diagonal():
     assert val > E
 
 
+def test_pseudo_rayleigh_dimension_guard():
+    with pytest.raises(DimensionMismatch):
+        pseudo_rayleigh(np.eye(3), [1, 0], SIG11)
+
+
 def test_pseudo_rayleigh_needs_timelike():
     with pytest.raises(NotTimelike):
         pseudo_rayleigh(np.eye(2), [0, 1], SIG11)

@@ -9,7 +9,7 @@ import pytest
 from supq import cli
 from supq.docio import dumps, matrix_to_doc
 from supq.indefinite import Signature
-from supq.selftest import SuiteResult
+from supq.selftest import SuiteResult, random_decomposable
 
 SIG11 = Signature(1, 1)
 SQ2 = np.sqrt(2.0)
@@ -79,6 +79,15 @@ def test_decompose_non_unimodular_exits_3(tmp_path, capsys):
     code, rep = _run_json(capsys, ["decompose", "--in", path])
     assert code == 3
     assert rep["diagnostics"]["error_code"] == "invalid_input"
+
+
+def test_decompose_at_zero_tolerance_exits_0(tmp_path, capsys):
+    # J dagger(g) g is Hermitian only to roundoff; tol = 0 must not turn
+    # that into an error
+    path = _write_doc(tmp_path, "g.json", random_decomposable(SIG11, np.random.default_rng(5)))
+    code, rep = _run_json(capsys, ["decompose", "--in", path, "--tol", "0"])
+    assert code == 0
+    assert rep["success"] is True
 
 
 @pytest.mark.parametrize("method", ["gauss", "gs", "both"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from supq import admissible, groups, iwasawa
-from supq.admissible import check_admissible_an
+from supq.admissible import check_admissible_an, check_admissible_q
 from supq.errors import (
     NonFiniteInput,
     NotAdmissible,
@@ -236,9 +236,44 @@ def test_decompose_rejects_non_unimodular():
         decompose_gs(2.0 * np.eye(2), SIG11)
 
 
-def test_decompose_rejects_wrong_size():
-    with pytest.raises(NotInG):
-        decompose_gauss(np.eye(3), SIG11)
+# Every membership-gated call, with the set error a 3x3 input raises at n = 2.
+WRONG_SIZE = {
+    "decompose_gauss": (NotInG, lambda M: decompose_gauss(M, SIG11)),
+    "decompose_gs": (NotInG, lambda M: decompose_gs(M, SIG11)),
+    "decompose_g_admissible": (NotInG, lambda M: decompose_g_admissible(M, SIG11)),
+    "sym": (NotInAN, lambda M: sym(M, SIG11)),
+    "dress_b": (NotInAN, lambda M: dress(M, np.eye(2), SIG11)),
+    "dress_g": (NotInG0, lambda M: dress(np.eye(2), M, SIG11)),
+    "q_log": (NotInQ, lambda M: q_log(M, SIG11)),
+    "check_admissible_q": (NotInQ, lambda M: check_admissible_q(M, SIG11)),
+    "check_admissible_an": (NotInAN, lambda M: check_admissible_an(M, SIG11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SIZE))
+def test_decompose_rejects_wrong_size(name):
+    error, call = WRONG_SIZE[name]
+    with pytest.raises(error, match="matrix of size 3 does not match n=2"):
+        call(np.eye(3))
+
+
+def test_gauss_factors_at_zero_tolerance():
+    # J dagger(g) g is Hermitian only to roundoff; at tol = 0 the Gauss
+    # route factors it all the same and agrees with Gram-Schmidt
+    g = random_decomposable(SIG11, np.random.default_rng(5))
+    jh = SIG11.j_diag[:, None] * (dagger(g, SIG11) @ g)
+    assert np.linalg.norm(jh - jh.conj().T) > 0.0
+    gauss = decompose_gauss(g, SIG11, tol=0.0)
+    gs = decompose_gs(g, SIG11, tol=0.0)
+    assert np.linalg.norm(gauss.b - gs.b) <= 1e-12 * np.linalg.norm(gs.b)
+    assert np.linalg.norm(gauss.s - gs.s) <= 1e-12 * np.linalg.norm(gs.s)
+
+
+def test_gauss_at_zero_tolerance_reports_wrong_inertia():
+    g, sig, pivot = random_cell_crossed(np.random.default_rng(117))
+    with pytest.raises(WrongInertia) as exc:
+        decompose_gauss(g, sig, tol=0.0)
+    assert exc.value.index == pivot
 
 
 def test_overflowing_gram_matrix_is_non_finite_input():
@@ -290,7 +325,10 @@ def test_unitary_check_reports_the_worst_column(monkeypatch):
 VALIDATION_BUDGET = {
     "dress": (2, 0),
     "decompose_gauss": (1, 0),
+    "decompose_gs": (1, 0),
+    "sym": (1, 0),
     "check_admissible_an": (1, 1),
+    "check_admissible_q": (1, 1),
     "decompose_g_admissible": (1, 1),
     "q_log": (1, 1),
 }
@@ -307,7 +345,10 @@ def test_public_calls_validate_once(monkeypatch, name):
     calls = {
         "dress": lambda: dress(b, g0, sig),
         "decompose_gauss": lambda: decompose_gauss(g, sig),
+        "decompose_gs": lambda: decompose_gs(g, sig),
+        "sym": lambda: sym(b, sig),
         "check_admissible_an": lambda: check_admissible_an(b, sig),
+        "check_admissible_q": lambda: check_admissible_q(s, sig),
         "decompose_g_admissible": lambda: decompose_g_admissible(g, sig),
         "q_log": lambda: q_log(s, sig),
     }
