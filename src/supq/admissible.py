@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margin,
-                         _dagger, _pairing, classify, sample_cone)
+                         _dagger, _pairing, _scaled, sample_cone)
 from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
@@ -159,14 +159,15 @@ def cone_preservation_check(
 
     Draws ``trials`` vectors, alternating timelike and null, and returns
     False as soon as some image ``s @ x`` fails to classify as timelike.
-    A True verdict is probabilistic evidence, not a proof.
+    A True verdict is probabilistic evidence, not a proof.  An image that
+    overflows to Inf raises NonFiniteInput.
     """
     s = _check_matrix(s, sig)
     rng = np.random.default_rng(seed)
     for i in range(trials):
         cls = ConeClass.TIMELIKE if i % 2 == 0 else ConeClass.NULL
         x = sample_cone(cls, sig, rng)
-        if classify(s @ x, sig, tol) is not ConeClass.TIMELIKE:
+        if _classify(s @ x, sig.p, tol) is not ConeClass.TIMELIKE:
             return False
     return True
 
@@ -186,7 +187,9 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     x = _check_vector(x, sig)
     if _classify(x, sig.p, tol) is not ConeClass.TIMELIKE:
         raise NotTimelike("pseudo_rayleigh needs a timelike vector")
-    return _pairing(s @ x, x, sig.j_diag).real / _cone_margin(x, sig.p)[0]
+    ns, _, k = _cone_margin(x, sig.p)
+    x = _scaled(x, k) if k else x  # the quotient is invariant under scaling x
+    return _pairing(s @ x, x, sig.j_diag).real / ns
 
 
 def leading_minors(s) -> np.ndarray:

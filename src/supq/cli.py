@@ -32,10 +32,13 @@ EXIT_PRECONDITION = 3
 EXIT_NOT_DECOMPOSABLE = 4
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -148,7 +151,7 @@ def cmd_classify(args) -> tuple[dict, int]:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
     x = M.reshape(-1)
     cone = classify(x, sig, args.tol)
-    ns, e2 = _cone_margin(x, sig.p)
+    ns, e2, _ = _cone_margin(x, sig.p)
     outputs: dict = {"cone": cone.value}
     if label:
         outputs["label"] = label
@@ -156,6 +159,8 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_selftest(args) -> tuple[dict, int]:
+    if not 2 <= args.nmax <= 8:
+        raise ParseError("selftest: --nmax must be between 2 and 8")
     results = run_selftest(args.nmax, args.trials, args.seed)
     outputs = {
         r.name: {"passed": r.passed, "trials": r.trials, "worst": r.worst, "detail": r.detail}
@@ -228,15 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest" and not 2 <= args.nmax <= 8:
-        print("selftest: --nmax must be between 2 and 8", file=sys.stderr)
-        return EXIT_PARSE
     try:
         report, code = args.func(args)
     except SupqError as exc:
         error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
         report = _failure(args.command, error_code, exc)
-    if args.command == "selftest" and not args.json:
+    if args.command == "selftest" and report["success"] and not args.json:
         _print_selftest_human(report)
     else:
         _emit(report, args.json)

@@ -28,7 +28,10 @@ from .indefinite import Signature
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
     if not np.isfinite(out):
         raise ParseError(f"{where}: non-finite value {value!r}")
     return out

@@ -8,12 +8,14 @@ cone trichotomy, and reproducible sampling from each cone component.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, NonFiniteInput, ZeroVector
 from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector
 
 
@@ -78,15 +80,34 @@ def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:
     return complex(np.sum(j * x * np.conj(y)))
 
 
-def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float]:
-    """``(<x, x>, ||x||_2^2)`` of an already validated vector."""
+def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float, int]:
+    """``(<y, y>, ||y||_2^2, k)`` for ``y = 2**-k x``, x already validated;
+    k is 0 unless the sums of squares of x overflow or leave the normal
+    range.  The power-of-two scaling is exact, so the pair gives x's cone
+    class and relative margin at any scale.  Raises NonFiniteInput for a
+    NaN or Inf entry."""
     mags = x.real**2 + x.imag**2
-    return float(np.sum(mags[:p]) - np.sum(mags[p:])), float(np.sum(mags))
+    e2, k = float(np.sum(mags)), 0
+    if not sys.float_info.min <= e2 < math.inf:
+        top = float(np.max(np.abs([x.real, x.imag]), initial=0.0))
+        if not math.isfinite(top):
+            raise NonFiniteInput("vector contains NaN or Inf entries")
+        k = math.frexp(top)[1]
+        y = _scaled(x, k)
+        mags = y.real**2 + y.imag**2
+        e2 = float(np.sum(mags))
+    return float(np.sum(mags[:p]) - np.sum(mags[p:])), e2, k
+
+
+def _scaled(x: np.ndarray, k: int) -> np.ndarray:
+    """``2**-k x``, exact while no entry leaves the normal range."""
+    return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k)
 
 
 def norm_sq(x, sig: Signature) -> float:
-    """<x, x> as a real number: ||x[:p]||^2 - ||x[p:]||^2."""
-    return _cone_margin(_check_vector(x, sig), sig.p)[0]
+    """<x, x> as a real number: ||x[:p]||^2 - ||x[p:]||^2, ±inf if it overflows."""
+    ns, _, k = _cone_margin(_check_vector(x, sig), sig.p)
+    return float(np.ldexp(ns, 2 * k))
 
 
 def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
@@ -101,7 +122,7 @@ def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
 
 def _classify(x: np.ndarray, p: int, tol: float) -> ConeClass:
     """:func:`classify` of an already validated vector."""
-    ns, e2 = _cone_margin(x, p)
+    ns, e2, _ = _cone_margin(x, p)
     if e2 == 0.0:
         raise ZeroVector("cannot classify the zero vector")
     if ns > tol * e2:

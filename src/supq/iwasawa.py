@@ -19,12 +19,13 @@ is sharper.  All functions are deterministic in their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admissible import _admissibility_report
-from .errors import NoConvergence, NotAdmissible, NotDecomposable, WrongInertia
+from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
 from .indefinite import Signature, _cone_margin, _dagger
 from .kernel import DEFAULT_TOL, _signed_ldl, eig, mat_exp
@@ -83,6 +84,8 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         With ``kind="null_boundary"`` when a residual is null to tolerance
         (|norm_sq| <= tol * ||r||_2^2), or ``kind="wrong_cone"`` when it has
         the wrong causal type.  ``index`` is the offending column, 1-based.
+    NonFiniteInput
+        If a diagonal entry of b exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
     n, p = sig.n, sig.p
@@ -92,7 +95,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         r = R[:, k]
-        ns, e2 = _cone_margin(r, p)
+        ns, e2, scale = _cone_margin(r, p)
         if abs(ns) <= tol * e2:
             raise NotDecomposable(
                 f"column {k + 1}: residual is null to tolerance (factorization boundary)",
@@ -105,7 +108,10 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
                 index=k + 1,
                 kind="wrong_cone",
             )
-        rk = float(np.sqrt(abs(ns)))
+        try:
+            rk = math.ldexp(math.sqrt(abs(ns)), scale)
+        except OverflowError:
+            raise NonFiniteInput(f"column {k + 1}: b_kk overflows") from None
         B[k, k] = rk
         r /= rk
         if k == n - 1:

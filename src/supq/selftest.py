@@ -181,12 +181,12 @@ def _run_trials(name: str, key: int, seed: int, trials: int, trial, worst,
                 summary: str) -> SuiteResult:
     """Run ``trial(rng)`` on ``_rng(seed, key, t)`` for t < ``trials``.
 
-    ``trial`` returns ``(values, problem)``: the margins or errors it
-    measured, folded into the running worst with ``worst`` (``min`` or
-    ``max``), and a description of what failed, or None.  A SupqError raised
-    inside a trial is a failure of that trial.  The first failure's
-    description becomes the detail; with none, the detail is ``summary``
-    followed by the worst value.
+    ``trial`` returns ``(values, problem)``: the margins, errors or counts
+    it measured, folded into the running worst with ``worst`` (``min``,
+    ``max``, or ``sum`` for a count), and a description of what failed, or
+    None.  A SupqError raised inside a trial is a failure of that trial and
+    contributes no values.  The first failure's description becomes the
+    detail; with none, the detail is ``summary`` followed by the worst value.
     """
     running = np.inf if worst is min else 0.0
     failures = 0
@@ -239,7 +239,7 @@ def suite_timelike_preservation(n_max: int = 6, s_trials: int = 1000, x_per_s: i
         s = random_admissible_q(sig, rng)
         margins = []
         for _ in range(x_per_s):
-            ns, e2 = _cone_margin(s @ sample_cone(ConeClass.TIMELIKE, sig, rng), sig.p)
+            ns, e2, _ = _cone_margin(s @ sample_cone(ConeClass.TIMELIKE, sig, rng), sig.p)
             margins.append(ns / e2)
         bad = [m for m in margins if m <= tol]
         return margins, f"image margin {bad[0]:.3e}" if bad else None
@@ -271,32 +271,23 @@ def suite_cone_characterization(n_max: int = 6, forward: int = 100, converse: in
     samples); strict gap violations are caught, with at least ``min_found``
     of the ``converse`` constructed counterexamples detected."""
 
-    def violated(key, t, generate, samples):
-        rng = _rng(seed, key, t)
-        sig = random_signature(rng, n_max)
-        s = generate(sig, rng)
-        return not cone_preservation_check(s, sig, trials=samples, seed=int(rng.integers(2**32)))
+    def violations(generate, samples):
+        def trial(rng):
+            sig = random_signature(rng, n_max)
+            s = generate(sig, rng)
+            return (not cone_preservation_check(s, sig, samples, int(rng.integers(2**32))),), None
+        return trial
 
-    # Trials are numbered forward first, then converse.
-    forward_failures = found = 0
-    detail = ""
-    for t in range(forward + converse):
-        try:
-            if t < forward:
-                forward_failures += violated(4, t, random_admissible_q, forward_samples)
-            else:
-                found += violated(5, t - forward, random_nonadmissible_q, converse_samples)
-        except SupqError as exc:
-            detail = detail or f"trial {t}: {_unexpected(exc)}"
-    passed = not detail and forward_failures == 0 and found >= min_found
-    return SuiteResult(
-        "cone_characterization",
-        passed,
-        forward + converse,
-        float(found),
-        detail or f"{forward_failures} forward failures; violations found in {found}/{converse} "
-        f"constructed gap violators (the converse direction is probabilistic)",
-    )
+    fwd = _run_trials("cone_characterization", 4, seed, forward,
+                      violations(random_admissible_q, forward_samples), sum, "forward failures")
+    conv = _run_trials("cone_characterization", 5, seed, converse,
+                       violations(random_nonadmissible_q, converse_samples), sum, "found")
+    failed, found = int(fwd.worst), int(conv.worst)
+    errors = [r.detail for r in (fwd, conv) if not r.passed]
+    summary = (f"{failed} forward failures; violations found in {found}/{converse} constructed gap "
+               "violators (the converse direction is probabilistic)")
+    return replace(conv, passed=not errors and failed == 0 and found >= min_found,
+                   trials=forward + converse, detail=errors[0] if errors else summary)
 
 
 def suite_dressing_cocycle(n_max: int = 6, trials: int = 500, seed: int = 42,
@@ -345,59 +336,36 @@ def suite_su11_oracle(trials: int = 10000, seed: int = 42, rel: float = 1e-10,
     """The general algorithms agree with the 2x2 closed form, and the
     numeric admissibility predicates agree with the exact inequalities
     outside a ``band`` around equality."""
-    worst = 0.0
-    failures = 0
-    detail = ""
-    for t in range(trials):
-        rng = _rng(seed, 8, t)
+
+    def factors(rng):
         el = random_sl2_decomposable(rng)
         M = el.as_matrix()
         scale = max(1.0, float(np.linalg.norm(M)))
-        try:
-            k, bo = su11_decompose(el)
-            k_mat, b_mat = k.as_matrix(), bo.as_matrix()
-            for pair in (decompose_gs(M, _SIG11), decompose_gauss(M, _SIG11)):
-                err = max(
-                    float(np.linalg.norm(pair.s - k_mat)),
-                    float(np.linalg.norm(pair.b - b_mat)),
-                ) / scale
-                worst = max(worst, err)
-                if err > rel:
-                    failures += 1
-                    detail = detail or f"trial {t}: oracle distance {err:.3e}"
-        except SupqError as exc:
-            failures += 1
-            detail = detail or f"trial {t}: {_unexpected(exc)}"
+        k_mat, b_mat = (factor.as_matrix() for factor in su11_decompose(el))
+        pairs = decompose_gs(M, _SIG11), decompose_gauss(M, _SIG11)
+        errs = [max(float(np.linalg.norm(p.s - k_mat)), float(np.linalg.norm(p.b - b_mat))) / scale
+                for p in pairs]
+        bad = [e for e in errs if e > rel]
+        return errs, f"oracle distance {bad[0]:.3e}" if bad else None
 
-    compared = 0
-    for t in range(trials):
-        rng = _rng(seed, 9, t)
+    def predicates(rng):
         s = random_su11_q(rng)
         if abs(s.t1 + s.t2 - 2.0) <= band or abs(s.t1 - 1.0) <= band:
-            continue
-        compared += 1
-        try:
-            if check_admissible_q(s.as_matrix(), _SIG11).admissible != su11_q_admissible(s):
-                failures += 1
-                detail = detail or f"trial {t}: Q predicate mismatch at {s}"
-            b = random_su11_an(rng)
-            if abs(b.r - 1.0) <= band or abs(b.r**2 + b.r**-2 - abs(b.n) ** 2 - 2.0) <= band:
-                continue
-            if check_admissible_an(b.as_matrix(), _SIG11).admissible != su11_an_admissible(b):
-                failures += 1
-                detail = detail or f"trial {t}: AN predicate mismatch at {b}"
-        except SupqError as exc:
-            failures += 1
-            detail = detail or f"trial {t}: {_unexpected(exc)}"
-    return SuiteResult(
-        "su11_oracle",
-        failures == 0,
-        trials,
-        worst,
-        detail
-        or f"largest oracle distance {worst:.3e}; {compared} predicate pairs compared "
-        f"outside the {band:.0e} band",
-    )
+            return (), None
+        if check_admissible_q(s.as_matrix(), _SIG11).admissible != su11_q_admissible(s):
+            return (1,), f"Q predicate mismatch at {s}"
+        b = random_su11_an(rng)
+        if abs(b.r - 1.0) <= band or abs(b.r**2 + b.r**-2 - abs(b.n) ** 2 - 2.0) <= band:
+            return (1,), None
+        ok = check_admissible_an(b.as_matrix(), _SIG11).admissible == su11_an_admissible(b)
+        return (1,), None if ok else f"AN predicate mismatch at {b}"
+
+    oracle = _run_trials("su11_oracle", 8, seed, trials, factors, max, "largest oracle distance")
+    compared = _run_trials("su11_oracle", 9, seed, trials, predicates, sum, "pairs compared")
+    failed = [r.detail for r in (oracle, compared) if not r.passed]
+    summary = (f"{oracle.detail}; {int(compared.worst)} predicate pairs compared outside "
+               f"the {band:.0e} band")
+    return replace(oracle, passed=not failed, detail=failed[0] if failed else summary)
 
 
 def suite_minor_ratios(n_max: int = 6, trials: int = 500, seed: int = 42,
@@ -456,29 +424,24 @@ def suite_exp_log(n_max: int = 6, trials: int = 500, seed: int = 42,
 def suite_failure_taxonomy(trials: int = 100, seed: int = 42) -> SuiteResult:
     """Elements built outside the identity cell make both routes raise
     (wrong inertia on the triangular route), never return a factorization."""
-    failures = 0
-    detail = ""
-    for t in range(trials):
-        rng = _rng(seed, 12, t)
+
+    def trial(rng):
         M, sig, _pivot = random_cell_crossed(rng)
+        problems = []
         for route, decompose in (("triangular", decompose_gauss),
                                  ("orthogonalization", decompose_gs)):
             try:
                 decompose(M, sig)
-                problem = f"{route} route returned a factorization"
+                problems.append(f"{route} route returned a factorization")
             except NotDecomposable:
-                continue
+                pass
             except SupqError as exc:
-                problem = _unexpected(exc)
-            failures += 1
-            detail = detail or f"trial {t}: {problem}"
-    return SuiteResult(
-        "failure_taxonomy",
-        failures == 0,
-        trials,
-        float(failures),
-        detail or "every out-of-cell element was rejected by both routes",
-    )
+                problems.append(_unexpected(exc))
+        return (len(problems),), problems[0] if problems else None
+
+    result = _run_trials("failure_taxonomy", 12, seed, trials, trial, sum, "route failures")
+    passed_detail = "every out-of-cell element was rejected by both routes"
+    return replace(result, detail=passed_detail) if result.passed else result
 
 
 def run_selftest(n_max: int = 4, trials: int = 200, seed: int = 42) -> list[SuiteResult]:

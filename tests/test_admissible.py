@@ -11,7 +11,7 @@ from supq.admissible import (
     leading_minors,
     pseudo_rayleigh,
 )
-from supq.errors import DimensionMismatch, NotInAN, NotInQ, NotTimelike
+from supq.errors import DimensionMismatch, NonFiniteInput, NotInAN, NotInQ, NotTimelike
 from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
 
@@ -204,6 +204,19 @@ def test_cone_check_dimension_guard():
         cone_preservation_check(np.eye(3), SIG11)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cone_check_at_extreme_scale():
+    # every image of a timelike or null sample has an entry whose square overflows
+    assert cone_preservation_check(np.diag([1e160, 1e-160]), SIG11, trials=200, seed=7)
+    assert not cone_preservation_check(np.diag([1e-160, 1e160]), SIG11, trials=200, seed=7)
+
+
+def test_cone_check_rejects_an_overflowing_image():
+    s = np.array([[1.5e308, 1.5e308], [0.0, 1.0]])
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore", invalid="ignore"):
+        cone_preservation_check(s, SIG11, trials=10, seed=7)
+
+
 # ---------------------------------------------------------------------------
 # pseudo Rayleigh quotient
 
@@ -220,6 +233,14 @@ def test_pseudo_rayleigh_diagonal():
     val = pseudo_rayleigh(s, [1.0, 0.5], SIG11)
     assert val == pytest.approx((E - 0.25 / E) / 0.75, rel=1e-13)
     assert val > E
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pseudo_rayleigh_at_extreme_scale():
+    assert pseudo_rayleigh(np.eye(2), [1e200, 0], SIG11) == 1.0
+    assert pseudo_rayleigh(np.eye(2), [1e-200, 0], SIG11) == 1.0
+    s = np.diag([E, 1 / E]).astype(complex)
+    assert pseudo_rayleigh(s, [1e200, 0.5e200], SIG11) == pytest.approx((E - 0.25 / E) / 0.75, rel=1e-13)
 
 
 def test_pseudo_rayleigh_dimension_guard():

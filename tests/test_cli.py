@@ -233,6 +233,9 @@ def test_sym_rejects_non_triangular(tmp_path, capsys):
         ([[1.0, 0.0]], "timelike", 1.0),
         ([[0.0, 1.0]], "spacelike", -1.0),
         ([[1.0, 1.0]], "null", 0.0),
+        # the squared entry overflows; the margin is still finite
+        pytest.param([[1e200, 0.0]], "timelike", 1.0,
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
     ],
 )
 def test_classify_vectors(tmp_path, capsys, vec, cone, margin):
@@ -264,6 +267,26 @@ def test_classify_zero_vector_exits_3(tmp_path, capsys):
     assert rep["diagnostics"]["error_code"] == "invalid_input"
 
 
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        (["decompose"], np.eye(2)),
+        (["check", "--set", "q"], np.eye(2)),
+        (["sym"], np.eye(2)),
+        (["classify"], [[1.0, 0.0]]),
+    ],
+    ids=["decompose", "check", "sym", "classify"],
+)
+def test_document_label_is_echoed(tmp_path, capsys, argv, matrix):
+    doc = {"signature": {"p": 1, "q": 1},
+           "matrix": [[[float(v), 0.0] for v in row] for row in matrix], "label": "probe"}
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(doc))
+    code, rep = _run_json(capsys, argv + ["--in", str(path)])
+    assert code == 0
+    assert rep["outputs"]["label"] == "probe"
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 
@@ -271,6 +294,30 @@ def test_classify_zero_vector_exits_3(tmp_path, capsys):
 def test_garbage_stdin_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{this is not json"))
     code, rep = _run_json(capsys, ["decompose"])
+    assert code == 2
+    assert rep["diagnostics"]["error_code"] == "parse_error"
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return str(tmp_path / "absent.json")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"label": "caf\xe9"}')  # Latin-1, not UTF-8
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("option", ["--in", "--b", "--g"])
+def test_unreadable_input_exits_2(tmp_path, capsys, kind, option):
+    bad = _unreadable(tmp_path, kind)
+    good = _write_doc(tmp_path, "id.json", np.eye(2))
+    if option == "--in":
+        argv = ["decompose", "--in", bad]
+    else:
+        argv = ["dress", "--b", good, "--g", good, option, bad]
+    code, rep = _run_json(capsys, argv)
     assert code == 2
     assert rep["diagnostics"]["error_code"] == "parse_error"
 
@@ -331,3 +378,9 @@ def test_selftest_is_deterministic(capsys):
 def test_selftest_nmax_out_of_range_exits_2(capsys):
     code = cli.main(["selftest", "--nmax", "12"])
     assert code == 2
+    assert capsys.readouterr().out.startswith("selftest: failed")
+    code, rep = _run_json(capsys, ["selftest", "--nmax", "12"])
+    assert code == 2
+    assert rep["success"] is False
+    assert rep["diagnostics"]["error_code"] == "parse_error"
+    assert "--nmax" in rep["diagnostics"]["detail"]

@@ -81,6 +81,7 @@ def test_parse_document_without_label():
         _doc([[[1, 0], [0, 0]], [[0, 0], [1, "0"]]]),  # non-numeric part
         _doc([[[1, 0], [0, 0]], [[0, 0], [1, True]]]),  # bool is not a number
         _doc([[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]),
+        _doc([[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]),  # integer too large for a float
         _doc([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], label=7),
     ],
 )

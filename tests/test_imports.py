@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-the numpy-only paths never load scipy."""
+"""Every name a module of the package imports is used in that module, every
+private module-level name is used in the package, and the numpy-only paths
+never load scipy."""
 
 import ast
 import json
@@ -33,6 +34,32 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_unused_private_names():
+    # every module-level _name of the package is read somewhere in the package
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= _private_definitions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined, "no private names found"
+    assert sorted(defined - used) == []
 
 
 # One call of each numpy-only public path, the CLI's decompose included;

@@ -103,9 +103,23 @@ def test_classify_trivials():
     assert classify([1j, 1], SIG11) is ConeClass.NULL
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_classify_is_scale_invariant():
     x = np.array([1.0, 1.0 + 1e-12])
     assert classify(x, SIG11) is classify(1e8 * x, SIG11)
+    # sums of squares of these overflow or underflow unless rescaled
+    for y in (x, np.array([1.0, 0.5j]), np.array([0.5, 1.0])):
+        for scale in (1e8, 1e200, 1e-200):
+            assert classify(scale * y, SIG11) is classify(y, SIG11)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_sq_at_extreme_scales():
+    assert norm_sq([1e200, 0], SIG11) == np.inf
+    assert norm_sq([1e200, 2e200], SIG11) == -np.inf
+    assert norm_sq([1e200, 1e200], SIG11) == 0.0
+    assert norm_sq([1e-200, 0], SIG11) == 0.0
+    assert norm_sq([3e100, 1e100], SIG11) == pytest.approx(8e200, rel=1e-15)
 
 
 def test_classify_rejects_zero():

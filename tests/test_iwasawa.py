@@ -8,6 +8,7 @@ import pytest
 from supq import admissible, groups, iwasawa
 from supq.admissible import check_admissible_an, check_admissible_q
 from supq.errors import (
+    NoConvergence,
     NonFiniteInput,
     NotAdmissible,
     NotDecomposable,
@@ -284,6 +285,22 @@ def test_overflowing_gram_matrix_is_non_finite_input():
         decompose_gauss(g, SIG11)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gs_factors_an_element_whose_column_norms_overflow():
+    # the squared norm of column 1 overflows and that of column 2 underflows;
+    # the Gauss route's dagger(g) g overflows and stays NonFiniteInput
+    g = np.diag([1e170, 1e-170]).astype(complex)
+    pair = decompose_gs(g, SIG11)
+    np.testing.assert_array_equal(pair.s, np.eye(2))
+    np.testing.assert_array_equal(pair.b, g)
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore", invalid="ignore"):
+        decompose_gauss(g, SIG11)
+    # det(h) = 1, but b_11 = sqrt(2) * 1.5e308 exceeds the float range
+    h = np.array([[1.5e308, 0, 0], [1.5e308, 1 / 1.5e308, 0], [0, 0, 1]], dtype=complex)
+    with pytest.raises(NonFiniteInput, match="column 1"):
+        decompose_gs(h, SIG21)
+
+
 def test_widely_scaled_triangular_element_is_its_own_factor():
     # signed_ldl certifies a_3 = 1e-4; the back-substitution must not reject
     # it a second time for being small next to ||b||_F = 1e5
@@ -464,6 +481,12 @@ def test_q_log_rejects_identity_with_report():
         q_log(np.eye(2), SIG11)
     assert exc_info.value.report is not None
     assert exc_info.value.report.reason == "gap violated"
+
+
+def test_q_log_reports_a_missed_reconstruction(monkeypatch):
+    monkeypatch.setattr(iwasawa, "mat_exp", lambda X: 2.0 * np.eye(X.shape[0]))
+    with pytest.raises(NoConvergence, match="log reconstruction defect"):
+        q_log(np.diag([E, 1 / E]).astype(complex), SIG11)
 
 
 def test_q_log_rejects_non_q():
