@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
 
 from . import docio
 from .admissible import check_admissible_an, check_admissible_q
-from .errors import MembershipError, NotDecomposable, ParseError, SupqError, ZeroVector
+from .errors import MembershipError, NotDecomposable, NotInG0, ParseError, SupqError, ZeroVector
 from .groups import GroupTag, is_member
-from .indefinite import _cone_margin, classify
+from .indefinite import Signature, _cone_margin, classify
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
 from .kernel import DEFAULT_TOL
 from .selftest import run_selftest
@@ -31,14 +32,19 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_DECOMPOSABLE = 4
 
-def _read_text(path: str | None) -> str:
+def _document(path: str | None, allow_vector: bool = False) -> tuple[np.ndarray, Signature, dict]:
+    """``(matrix, signature, echo)`` of the document at ``path`` (stdin for None
+    or "-"); ``echo`` is ``{"label": label}`` or ``{}``."""
     try:
         if path is None or path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path or 'stdin'}: {exc}") from exc
+    M, sig, label = docio.load_document(text, allow_vector)
+    return M, sig, {"label": label} if label else {}
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -51,10 +57,9 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"  {key} = {value}")
     for key, value in report["outputs"].items():
         if isinstance(value, dict) and "matrix" in value:
-            rows = np.array(
-                [[complex(re, im) for re, im in row] for row in value["matrix"]]
-            )
-            print(f"  {key} =\n{np.array2string(rows, precision=6, suppress_small=True)}")
+            # [re, im] float pairs viewed as complex; an overflowed output stays printable
+            M = np.asarray(value["matrix"], dtype=float).view(np.complex128)[..., 0]
+            print(f"  {key} =\n{np.array2string(M, precision=6, suppress_small=True)}")
         else:
             print(f"  {key} = {value}")
 
@@ -69,15 +74,9 @@ _ERROR_REPORTS = (
 )
 
 
-def _failure(command: str, code: str, exc: Exception) -> dict:
-    return docio.build_report(command, False, {}, error_code=code, detail=str(exc))
-
-
 def cmd_decompose(args) -> tuple[dict, int]:
-    M, sig, label = docio.load_document(_read_text(args.infile))
-    outputs: dict = {"method": args.method}
-    if label:
-        outputs["label"] = label
+    M, sig, echo = _document(args.infile)
+    outputs: dict = {"method": args.method, **echo}
     pairs = {}
     if args.method in ("gauss", "both"):
         pairs["gauss"] = decompose_gauss(M, sig, args.tol)
@@ -99,10 +98,8 @@ def cmd_decompose(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
-    M, sig, label = docio.load_document(_read_text(args.infile))
-    outputs: dict = {"set": args.set}
-    if label:
-        outputs["label"] = label
+    M, sig, echo = _document(args.infile)
+    outputs: dict = {"set": args.set, **echo}
     if args.set not in ("q_adm", "an_adm"):
         outputs["verdict"] = bool(is_member(M, GroupTag(args.set), sig, args.tol))
         return docio.build_report("check", True, outputs), EXIT_OK
@@ -122,11 +119,10 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_dress(args) -> tuple[dict, int]:
-    b_mat, b_sig, _ = docio.load_document(_read_text(args.b))
-    g_mat, g_sig, _ = docio.load_document(_read_text(args.g))
+    b_mat, b_sig, _ = _document(args.b)
+    g_mat, g_sig, _ = _document(args.g)
     if b_sig != g_sig:
-        exc = ValueError(f"signatures differ: ({b_sig.p},{b_sig.q}) vs ({g_sig.p},{g_sig.q})")
-        return _failure("dress", "invalid_input", exc), EXIT_PRECONDITION
+        raise NotInG0(f"signatures differ: ({b_sig.p},{b_sig.q}) vs ({g_sig.p},{g_sig.q})")
     result = dress(b_mat, g_mat, b_sig, args.tol)
     outputs = {
         "g_prime": docio.matrix_to_doc(result.g_prime, b_sig),
@@ -137,24 +133,18 @@ def cmd_dress(args) -> tuple[dict, int]:
 
 
 def cmd_sym(args) -> tuple[dict, int]:
-    M, sig, label = docio.load_document(_read_text(args.infile))
-    out = sym(M, sig, args.tol)
-    outputs: dict = {"sym": docio.matrix_to_doc(out, sig)}
-    if label:
-        outputs["label"] = label
+    M, sig, echo = _document(args.infile)
+    outputs = {"sym": docio.matrix_to_doc(sym(M, sig, args.tol), sig), **echo}
     return docio.build_report("sym", True, outputs), EXIT_OK
 
 
 def cmd_classify(args) -> tuple[dict, int]:
-    M, sig, label = docio.load_document(_read_text(args.infile), allow_vector=True)
+    M, sig, echo = _document(args.infile, allow_vector=True)
     if M.shape not in {(1, sig.n), (sig.n, 1)}:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
     x = M.reshape(-1)
-    cone = classify(x, sig, args.tol)
+    outputs = {"cone": classify(x, sig, args.tol).value, **echo}
     ns, e2, _ = _cone_margin(x, sig.p)
-    outputs: dict = {"cone": cone.value}
-    if label:
-        outputs["label"] = label
     return docio.build_report("classify", True, outputs, margin=ns / e2), EXIT_OK
 
 
@@ -191,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_input=True):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="structural tolerance (default 1e-9)")
+                       help="structural tolerance, finite and >= 0 (default 1e-9)")
         p.add_argument("--json", action="store_true", help="emit the raw JSON report")
         if with_input:
             p.add_argument("--in", dest="infile", default=None, metavar="PATH",
@@ -223,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("selftest", help="run the property suites")
-    common(p, with_input=False)
+    p.add_argument("--json", action="store_true", help="emit the raw JSON report")
     p.add_argument("--nmax", type=int, default=4, help="largest matrix size (2..8)")
     p.add_argument("--trials", type=int, default=200, help="base trial count per suite")
     p.add_argument("--seed", type=int, default=42)
@@ -234,10 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
+            raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
         report, code = args.func(args)
     except SupqError as exc:
         error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
-        report = _failure(args.command, error_code, exc)
+        report = docio.build_report(args.command, False, {}, error_code=error_code, detail=str(exc))
     if args.command == "selftest" and report["success"] and not args.json:
         _print_selftest_human(report)
     else:

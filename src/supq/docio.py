@@ -90,10 +90,12 @@ def parse_document(obj: Any, allow_vector: bool = False):
 
 
 def load_document(text: str, allow_vector: bool = False):
-    """Parse a document from JSON text."""
+    """Parse a document from JSON text.  Malformed, too deeply nested or
+    over-long JSON (an integer literal past Python's digit limit) raises
+    ParseError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_document(obj, allow_vector=allow_vector)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
 from .indefinite import Signature, _check_matrix, _dagger, dagger
-from .kernel import DEFAULT_TOL, as_cmatrix, mat_exp
+from .kernel import DEFAULT_TOL, mat_exp
 
 
 class GroupTag(enum.Enum):
@@ -62,7 +62,11 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     by more than ``tol``) is evaluated last, and only for the sets that
     constrain the determinant.
     """
-    M = _check_matrix(M, sig)
+    return _in_set(_check_matrix(M, sig), tag, sig, tol)
+
+
+def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
+    """:func:`is_member` of a validated n x n complex matrix."""
     n = sig.n
     if tag is GroupTag.G:
         return _det_is_one(M, tol)
@@ -95,10 +99,8 @@ def _require(M, tag: GroupTag, sig: Signature, tol: float) -> np.ndarray:
     """The input guard of a membership-gated public call: ``M`` as a
     validated complex matrix in ``tag``'s set, else that set's
     :class:`~supq.errors.MembershipError` (a wrong size included)."""
-    M = as_cmatrix(M, square=True)
-    if M.shape[0] != sig.n:
-        raise _NOT_IN[tag](f"matrix of size {M.shape[0]} does not match n={sig.n}")
-    if not is_member(M, tag, sig, tol):
+    M = _check_matrix(M, sig, _NOT_IN[tag])
+    if not _in_set(M, tag, sig, tol):
         raise _NOT_IN[tag]()
     return M
 

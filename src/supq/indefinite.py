@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, ZeroVector
+from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
 from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector
 
 
@@ -63,10 +63,11 @@ def _check_vector(x, sig: Signature) -> np.ndarray:
     return v
 
 
-def _check_matrix(M, sig: Signature) -> np.ndarray:
+def _check_matrix(M, sig: Signature, mismatch: type[SupqError] = DimensionMismatch) -> np.ndarray:
+    """``M`` as a validated n x n complex matrix; a wrong size raises ``mismatch``."""
     A = as_cmatrix(M, square=True)
     if A.shape[0] != sig.n:
-        raise DimensionMismatch(f"matrix of size {A.shape[0]} does not match n={sig.n}")
+        raise mismatch(f"matrix of size {A.shape[0]} does not match n={sig.n}")
     return A
 
 

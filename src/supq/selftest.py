@@ -63,26 +63,23 @@ def random_signature(rng: np.random.Generator, n_max: int) -> Signature:
     return Signature(p, n - p)
 
 
-def random_decomposable(sig: Signature, rng: np.random.Generator,
-                        gap: float = 1e-3, spread: float = 2.0) -> np.ndarray:
+def random_decomposable(sig: Signature, rng: np.random.Generator, gap: float = 1e-3) -> np.ndarray:
     """exp(admissible diagonal) times a pseudo-unitary element: always
     decomposable, with an admissible triangular factor."""
     d = random_admissible_diag(sig, rng, gap=gap)
-    g0 = random_g0(sig, rng, spread=rng.uniform(0.1, spread))
+    g0 = random_g0(sig, rng, spread=rng.uniform(0.1, 2.0))
     return d.exp_matrix() @ g0
 
 
 def random_admissible_q(sig: Signature, rng: np.random.Generator,
-                        gap: float = 1e-3, spread: float = 1.0,
-                        scale: float = 1.0) -> np.ndarray:
+                        gap: float = 1e-3, spread: float = 1.0) -> np.ndarray:
     """Admissible dagger-fixed element: a conjugated admissible exp-diagonal."""
-    d = random_admissible_diag(sig, rng, gap=gap, scale=scale)
+    d = random_admissible_diag(sig, rng, gap=gap)
     g = random_g0(sig, rng, spread=spread)
     return dagger(g, sig) @ d.exp_matrix() @ g
 
 
-def random_nonadmissible_q(sig: Signature, rng: np.random.Generator,
-                           spread: float = 1.0) -> np.ndarray:
+def random_nonadmissible_q(sig: Signature, rng: np.random.Generator) -> np.ndarray:
     """Dagger-fixed element with real positive spectrum whose gap condition
     fails strictly: the largest spacelike exponent exceeds the smallest
     timelike one."""
@@ -92,7 +89,7 @@ def random_nonadmissible_q(sig: Signature, rng: np.random.Generator,
     mu = np.sort(mu)[::-1]
     d = np.concatenate([lam, mu])
     d -= d.mean()
-    g = random_g0(sig, rng, spread=spread)
+    g = random_g0(sig, rng, spread=1.0)
     return dagger(g, sig) @ np.diag(np.exp(d)).astype(np.complex128) @ g
 
 
@@ -112,21 +109,21 @@ def random_admissible_an(sig: Signature, rng: np.random.Generator,
     return dress(d.exp_matrix(), g, sig).b_prime
 
 
-def random_sl2_decomposable(rng: np.random.Generator, safety: float = 1e-3) -> Sl2Element:
-    """Random SL(2, C) element with |a| > |c| by a relative safety margin."""
+def random_sl2_decomposable(rng: np.random.Generator) -> Sl2Element:
+    """Random SL(2, C) element with |a| > |c| by a relative safety margin of 1e-3."""
     while True:
         a = complex(rng.standard_normal() + 1j * rng.standard_normal())
         c = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        if abs(a) ** 2 - abs(c) ** 2 > safety * (abs(a) ** 2 + abs(c) ** 2):
+        if abs(a) ** 2 - abs(c) ** 2 > 1e-3 * (abs(a) ** 2 + abs(c) ** 2):
             b = complex(rng.standard_normal() + 1j * rng.standard_normal())
             return Sl2Element(a, b, c, (1.0 + b * c) / a)
 
 
-def random_su11_q(rng: np.random.Generator, boundary_fraction: float = 0.3) -> Su11QElement:
-    """Random dagger-fixed 2x2 element; a fraction of draws sit within
+def random_su11_q(rng: np.random.Generator) -> Su11QElement:
+    """Random dagger-fixed 2x2 element; 30% of draws sit within
     1e-4 of the admissibility boundary t1 = 1 + |m|."""
     m = complex(0.5 * (rng.standard_normal() + 1j * rng.standard_normal()))
-    if rng.uniform() < boundary_fraction:
+    if rng.uniform() < 0.3:
         delta = 10.0 ** rng.uniform(-8, -4) * rng.choice([-1.0, 1.0])
         t1 = 1.0 + abs(m) + delta
     else:
@@ -135,13 +132,13 @@ def random_su11_q(rng: np.random.Generator, boundary_fraction: float = 0.3) -> S
     return Su11QElement(t1, t2, m)
 
 
-def random_su11_an(rng: np.random.Generator, boundary_fraction: float = 0.3) -> Su11ANElement:
-    """Random triangular 2x2 element; a fraction of draws sit within 1e-4
+def random_su11_an(rng: np.random.Generator) -> Su11ANElement:
+    """Random triangular 2x2 element; 30% of draws sit within 1e-4
     of the boundary |n| = |r - 1/r|."""
     r = float(np.exp(rng.normal(0.0, 0.5)))
     base = (r - 1.0 / r) ** 2
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    if rng.uniform() < boundary_fraction and base > 2e-4:
+    if rng.uniform() < 0.3 and base > 2e-4:
         delta = 10.0 ** rng.uniform(-8, -4) * rng.choice([-1.0, 1.0])
         n = complex(np.sqrt(base - delta) * phase)
     else:
@@ -149,15 +146,15 @@ def random_su11_an(rng: np.random.Generator, boundary_fraction: float = 0.3) -> 
     return Su11ANElement(r, n)
 
 
-def random_cell_crossed(rng: np.random.Generator, n_max: int = 4):
-    """Element of SL(n, C) outside the identity cell: a 2x2 block with
+def random_cell_crossed(rng: np.random.Generator):
+    """Element of SL(n, C), 2 <= n <= 4, outside the identity cell: a 2x2 block with
     |a| < |c| bridging a timelike and a spacelike index, optionally hidden
     inside benign pseudo-unitary and triangular cosets.
 
     Returns ``(matrix, sig, pivot)`` where ``pivot`` is the 1-based index at
     which the triangular route must detect the wrong inertia.
     """
-    n = int(rng.integers(2, n_max + 1))
+    n = int(rng.integers(2, 5))
     p = int(rng.integers(1, n))
     sig = Signature(p, n - p)
     a = complex(0.7 * (rng.standard_normal() + 1j * rng.standard_normal()))

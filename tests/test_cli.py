@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: reports, exit codes, both output formats."""
 
+import argparse
+import ast
+import inspect
 import io
 import json
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from supq import cli
-from supq.docio import dumps, matrix_to_doc
+from supq.docio import build_report, dumps, matrix_to_doc
 from supq.indefinite import Signature
 from supq.selftest import SuiteResult, random_decomposable
 
@@ -193,6 +196,7 @@ def test_dress_signature_mismatch_exits_3(tmp_path, capsys):
     code, rep = _run_json(capsys, ["dress", "--b", b_path, "--g", g_path])
     assert code == 3
     assert rep["diagnostics"]["error_code"] == "invalid_input"
+    assert rep["diagnostics"]["detail"] == "signatures differ: (1,1) vs (2,1)"
 
 
 def test_dress_non_triangular_b_exits_3(tmp_path, capsys):
@@ -331,6 +335,69 @@ def test_shape_mismatch_exits_2(tmp_path, capsys):
     code, rep = _run_json(capsys, ["decompose", "--in", str(path2)])
     assert code == 2
     assert rep["diagnostics"]["error_code"] == "parse_error"
+
+
+# A decomposable element outside SU(1, 1): --tol inf would call it a member.
+_G_DOC = dumps(matrix_to_doc(np.array([[2.0, 1.0], [1.0, 1.0]]), SIG11))
+_LONG_INT_DOC = _G_DOC.replace("2.0", "2" + "0" * 5000, 1)
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["check", "--set", "g0"]],
+                         ids=["decompose", "check_g0"])
+@pytest.mark.parametrize(
+    "text, tol, detail",
+    [
+        ("[" * 100_000, "1e-9", "invalid JSON"),
+        (_LONG_INT_DOC, "1e-9", "invalid JSON"),
+        (_G_DOC, "inf", "--tol"),
+        (_G_DOC, "nan", "--tol"),
+        (_G_DOC, "-1e-9", "--tol"),
+    ],
+    ids=["deeply_nested", "long_integer", "tol_inf", "tol_nan", "tol_negative"],
+)
+def test_boundary_input_exits_2(tmp_path, capsys, command, text, tol, detail):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, rep = _run_json(capsys, command + ["--in", str(path), f"--tol={tol}"])
+    assert code == 2
+    assert rep["success"] is False
+    assert rep["diagnostics"]["error_code"] == "parse_error"
+    assert detail in rep["diagnostics"]["detail"]
+
+
+def test_human_output_prints_a_non_finite_matrix(capsys):
+    # an output that overflowed (dagger(b) b of a huge AN element) still prints
+    doc = matrix_to_doc(np.array([[np.inf, 0.0], [0.0, 1.0]]), SIG11)
+    cli._emit(build_report("sym", True, {"sym": doc}), as_json=False)
+    out = capsys.readouterr().out
+    assert out.startswith("sym: ok\n  sym =\n[[inf+0.j")
+
+
+# ---------------------------------------------------------------------------
+# options
+
+
+def _subcommands() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_option_is_read(command):
+    # each option of a command is read as args.<dest> by its cmd_* function;
+    # --json is read by main
+    sub = _subcommands()[command]
+    tree = ast.parse(inspect.getsource(sub.get_default("func")))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    options = {a.dest for a in sub._actions if a.option_strings} - {"help", "json"}
+    assert sorted(options - read) == []
+
+
+def test_selftest_has_no_tol_option():
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["selftest", "--tol", "1e-3"])
+    assert exc_info.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,10 @@ def test_complex_and_grid_helpers():
 
 
 def test_load_document_rejects_invalid_json():
-    with pytest.raises(ParseError):
-        load_document("{not json")
+    # malformed, nested past the recursion limit, an integer past the digit limit
+    for text in ("{not json", "[" * 100_000, "1" + "0" * 5000):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_document(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Decomposition routes, the dressing action, symmetrization, the Q logarithm."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from supq import admissible, groups, iwasawa
+from supq import admissible, groups, iwasawa, kernel
 from supq.admissible import check_admissible_an, check_admissible_q
 from supq.errors import (
     NoConvergence,
@@ -336,18 +337,20 @@ def test_unitary_check_reports_the_worst_column(monkeypatch):
     assert re.search(r"defect 9\.90\de-03 > \d\.\d{3}e-\d\d", str(exc_info.value))
 
 
-# Determinant windows (the SVD + LU of groups._det_is_one) and
-# eigendecompositions per public call at n = 4: each input is validated
-# once, and no intermediate the library built is validated again.
+# Determinant windows (the SVD + LU of groups._det_is_one),
+# eigendecompositions and kernel.as_cmatrix conversions per public call at
+# n = 4: each input is converted and validated once, and no intermediate the
+# library built is validated again, except where eig and mat_exp re-check
+# their argument (dagger(b) b can overflow; their check reports that).
 VALIDATION_BUDGET = {
-    "dress": (2, 0),
-    "decompose_gauss": (1, 0),
-    "decompose_gs": (1, 0),
-    "sym": (1, 0),
-    "check_admissible_an": (1, 1),
-    "check_admissible_q": (1, 1),
-    "decompose_g_admissible": (1, 1),
-    "q_log": (1, 1),
+    "dress": (2, 0, 2),
+    "decompose_gauss": (1, 0, 1),
+    "decompose_gs": (1, 0, 1),
+    "sym": (1, 0, 1),
+    "check_admissible_an": (1, 1, 2),
+    "check_admissible_q": (1, 1, 2),
+    "decompose_g_admissible": (1, 1, 2),
+    "q_log": (1, 1, 3),
 }
 
 
@@ -369,7 +372,7 @@ def test_public_calls_validate_once(monkeypatch, name):
         "decompose_g_admissible": lambda: decompose_g_admissible(g, sig),
         "q_log": lambda: q_log(s, sig),
     }
-    counts = {"det": 0, "eig": 0}
+    counts = {"det": 0, "eig": 0, "as_cmatrix": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -382,8 +385,13 @@ def test_public_calls_validate_once(monkeypatch, name):
     counted_eig = counting("eig", iwasawa.eig)
     monkeypatch.setattr(iwasawa, "eig", counted_eig)
     monkeypatch.setattr(admissible, "eig", counted_eig)
+    as_cmatrix = kernel.as_cmatrix
+    counted_as_cmatrix = counting("as_cmatrix", as_cmatrix)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "supq" and getattr(module, "as_cmatrix", None) is as_cmatrix:
+            monkeypatch.setattr(module, "as_cmatrix", counted_as_cmatrix)
     calls[name]()
-    assert (counts["det"], counts["eig"]) == VALIDATION_BUDGET[name]
+    assert (counts["det"], counts["eig"], counts["as_cmatrix"]) == VALIDATION_BUDGET[name]
 
 
 # ---------------------------------------------------------------------------
