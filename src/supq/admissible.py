@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margin,
-                         _dagger, _pairing, _scaled, sample_cone)
+                         _pairing, _scaled, _sym, sample_cone)
 from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
@@ -149,7 +149,7 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
         unit determinant to tolerance.
     """
     b = _require(b, GroupTag.AN, sig, tol)
-    return _admissibility_report(eig(_dagger(b, sig.j_diag) @ b), sig, tol)
+    return _admissibility_report(eig(_sym(b, sig.j_diag)), sig, tol)
 
 
 def cone_preservation_check(

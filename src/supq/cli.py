@@ -2,11 +2,17 @@
 
 Reads JSON matrix documents (see :mod:`supq.docio`), runs the requested
 operation, and emits a Report: human-readable lines by default, the raw
-JSON report with ``--json``.
+JSON report with ``--json``.  Each ``cmd_*`` function returns its
+``(outputs, diagnostics)``; :func:`main` builds the report and owns the
+exit code.
 
-Exit codes: 0 on success, 2 on malformed input, 3 on a violated
-precondition (membership, zero vector, mismatched signatures), 4 when the
-element is not decomposable.
+Exit codes:
+
+* 0 on success;
+* 2 on malformed input (a document, ``--tol`` or ``--nmax``);
+* 3 on a violated precondition (membership, zero vector, mismatched
+  signatures) or a symmetrization that overflows;
+* 4 when the element is not decomposable.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ _ERROR_REPORTS = (
 )
 
 
-def cmd_decompose(args) -> tuple[dict, int]:
+def cmd_decompose(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
     outputs: dict = {"method": args.method, **echo}
     pairs = {}
@@ -93,32 +99,31 @@ def cmd_decompose(args) -> tuple[dict, int]:
             float(np.linalg.norm(pairs["gauss"].s - pairs["gs"].s)),
             float(np.linalg.norm(pairs["gauss"].b - pairs["gs"].b)),
         ) / scale
-    residual = max(pair.residual for pair in pairs.values())
-    return docio.build_report("decompose", True, outputs, residual=residual), EXIT_OK
+    return outputs, {"residual": max(pair.residual for pair in pairs.values())}
 
 
-def cmd_check(args) -> tuple[dict, int]:
+def cmd_check(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
     outputs: dict = {"set": args.set, **echo}
     if args.set not in ("q_adm", "an_adm"):
         outputs["verdict"] = bool(is_member(M, GroupTag(args.set), sig, args.tol))
-        return docio.build_report("check", True, outputs), EXIT_OK
+        return outputs, {}
     checker = check_admissible_q if args.set == "q_adm" else check_admissible_an
     try:
         report = checker(M, sig, args.tol)
     except MembershipError as exc:
         outputs["verdict"] = False
         outputs["reason"] = str(exc)
-        return docio.build_report("check", True, outputs, margin=0.0), EXIT_OK
+        return outputs, {"margin": 0.0}
     outputs["verdict"] = report.admissible
     outputs["reason"] = report.reason
-    outputs["eigenvalues"] = [docio.complex_to_pair(z) for z in report.eigenvalues]
+    outputs["eigenvalues"] = docio.matrix_to_grid(report.eigenvalues)[0]
     outputs["timelike_values"] = [float(v) for v in report.timelike_values]
     outputs["spacelike_values"] = [float(v) for v in report.spacelike_values]
-    return docio.build_report("check", True, outputs, margin=report.margin), EXIT_OK
+    return outputs, {"margin": report.margin}
 
 
-def cmd_dress(args) -> tuple[dict, int]:
+def cmd_dress(args) -> tuple[dict, dict]:
     b_mat, b_sig, _ = _document(args.b)
     g_mat, g_sig, _ = _document(args.g)
     if b_sig != g_sig:
@@ -128,27 +133,25 @@ def cmd_dress(args) -> tuple[dict, int]:
         "g_prime": docio.matrix_to_doc(result.g_prime, b_sig),
         "b_prime": docio.matrix_to_doc(result.b_prime, b_sig),
     }
-    residual = float(np.linalg.norm(b_mat @ g_mat - result.g_prime @ result.b_prime))
-    return docio.build_report("dress", True, outputs, residual=residual), EXIT_OK
+    return outputs, {"residual": result.residual}
 
 
-def cmd_sym(args) -> tuple[dict, int]:
+def cmd_sym(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
-    outputs = {"sym": docio.matrix_to_doc(sym(M, sig, args.tol), sig), **echo}
-    return docio.build_report("sym", True, outputs), EXIT_OK
+    return {"sym": docio.matrix_to_doc(sym(M, sig, args.tol), sig), **echo}, {}
 
 
-def cmd_classify(args) -> tuple[dict, int]:
+def cmd_classify(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile, allow_vector=True)
     if M.shape not in {(1, sig.n), (sig.n, 1)}:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
     x = M.reshape(-1)
     outputs = {"cone": classify(x, sig, args.tol).value, **echo}
     ns, e2, _ = _cone_margin(x, sig.p)
-    return docio.build_report("classify", True, outputs, margin=ns / e2), EXIT_OK
+    return outputs, {"margin": ns / e2}
 
 
-def cmd_selftest(args) -> tuple[dict, int]:
+def cmd_selftest(args) -> tuple[dict, dict]:
     if not 2 <= args.nmax <= 8:
         raise ParseError("selftest: --nmax must be between 2 and 8")
     results = run_selftest(args.nmax, args.trials, args.seed)
@@ -157,11 +160,10 @@ def cmd_selftest(args) -> tuple[dict, int]:
         for r in results
     }
     outputs["all_passed"] = all(r.passed for r in results)
-    return docio.build_report("selftest", True, outputs), EXIT_OK
+    return outputs, {}
 
 
-def _print_selftest_human(report: dict) -> None:
-    outputs = report["outputs"]
+def _print_selftest_human(outputs: dict) -> None:
     for name, entry in outputs.items():
         if name == "all_passed":
             continue
@@ -223,16 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
-        report, code = args.func(args)
+        # overflow is judged by the library and reported, never warned about
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            outputs, diagnostics = args.func(args)
     except SupqError as exc:
         error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
-        report = docio.build_report(args.command, False, {}, error_code=error_code, detail=str(exc))
-    if args.command == "selftest" and report["success"] and not args.json:
-        _print_selftest_human(report)
+        outputs, diagnostics = {}, {"error_code": error_code, "detail": str(exc)}
+    if args.command == "selftest" and code == EXIT_OK and not args.json:
+        _print_selftest_human(outputs)
     else:
+        report = {"command": args.command, "success": code == EXIT_OK,
+                  "outputs": outputs, "diagnostics": diagnostics}
         _emit(report, args.json)
     return code
 

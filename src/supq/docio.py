@@ -100,13 +100,10 @@ def load_document(text: str, allow_vector: bool = False):
     return parse_document(obj, allow_vector=allow_vector)
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_to_grid(M) -> list[list[list[float]]]:
+    """The row-major ``[re, im]`` grid of ``M``; a vector becomes one row."""
     M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
-    return [[complex_to_pair(z) for z in row] for row in M]
+    return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
 def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
@@ -119,38 +116,8 @@ def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
     return doc
 
 
-def build_report(
-    command: str,
-    success: bool,
-    outputs: dict,
-    residual: float | None = None,
-    margin: float | None = None,
-    error_code: str | None = None,
-    detail: str | None = None,
-) -> dict:
-    """Assemble the Report object every CLI command emits.
-
-    ``success = False`` always carries an ``error_code``.
-    """
-    if not success and error_code is None:
-        raise ValueError("a failed report needs an error_code")
-    diagnostics: dict = {}
-    if residual is not None:
-        diagnostics["residual"] = float(residual)
-    if margin is not None:
-        diagnostics["margin"] = float(margin)
-    if error_code is not None:
-        diagnostics["error_code"] = error_code
-    if detail is not None:
-        diagnostics["detail"] = detail
-    return {
-        "command": command,
-        "success": bool(success),
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    }
-
-
 def dumps(obj: dict) -> str:
-    """Serialize a document or report; floats keep full round-trip precision."""
-    return json.dumps(obj, indent=2)
+    """Serialize a document or report; floats keep full round-trip precision.
+    A NaN or Inf value raises ValueError: :func:`load_document` could not
+    read it back."""
+    return json.dumps(obj, indent=2, allow_nan=False)

@@ -147,6 +147,16 @@ def _dagger(A: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (j[:, None] * A.conj().T) * j[None, :]
 
 
+def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The symmetrization dagger(b) b of a validated or library-built n x n
+    complex matrix.  A product that overflows raises the
+    :class:`NonFiniteInput` that validating it would have raised."""
+    h = _dagger(b, j) @ b
+    if not np.all(np.isfinite(h)):
+        raise NonFiniteInput("matrix contains NaN or Inf entries")
+    return h
+
+
 def sample_cone(cls: ConeClass, sig: Signature, rng_seed: int | np.random.Generator) -> np.ndarray:
     """Reproducibly sample one vector of cone class ``cls``.
 

@@ -27,7 +27,7 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
-from .indefinite import Signature, _cone_margin, _dagger
+from .indefinite import Signature, _cone_margin, _dagger, _sym
 from .kernel import DEFAULT_TOL, _signed_ldl, eig, mat_exp
 
 
@@ -49,20 +49,22 @@ class DecompPair:
 
 @dataclass
 class DressResult:
-    """Outcome of the dressing action: b g = g_prime b_prime."""
+    """Outcome of the dressing action: b g = g_prime b_prime, with
+    ``residual`` = ||b g - g_prime b_prime||_F."""
 
     g_prime: np.ndarray
     b_prime: np.ndarray
+    residual: float
 
 
 def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetrization dagger(b) b of a triangular factor.
 
     Maps AN into the dagger-fixed set Q, is injective there, and turns the
-    dressing action into conjugation.
+    dressing action into conjugation.  A product that overflows the float
+    range raises NonFiniteInput.
     """
-    b = _require(b, GroupTag.AN, sig, tol)
-    return _dagger(b, sig.j_diag) @ b
+    return _sym(_require(b, GroupTag.AN, sig, tol), sig.j_diag)
 
 
 def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
@@ -156,7 +158,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     n, p = sig.n, sig.p
     j = sig.j_diag
-    jh = j[:, None] * (_dagger(g, j) @ g)
+    jh = j[:, None] * _sym(g, j)
     L, d = _signed_ldl(jh, tol)
     for k in range(n):
         if (d[k] > 0) != (k < p):
@@ -202,7 +204,7 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     b = _require(b, GroupTag.AN, sig, tol)
     g = _require(g, GroupTag.G0, sig, tol)
     pair = _gauss(b @ g, sig, tol)
-    return DressResult(g_prime=pair.s, b_prime=pair.b)
+    return DressResult(g_prime=pair.s, b_prime=pair.b, residual=pair.residual)
 
 
 def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -256,7 +258,7 @@ def decompose_g_admissible(
         If the triangular factor fails the admissibility check.
     """
     pair = decompose_gauss(g, sig, tol)
-    report = _admissibility_report(eig(_dagger(pair.b, sig.j_diag) @ pair.b), sig, tol)
+    report = _admissibility_report(eig(_sym(pair.b, sig.j_diag)), sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
     spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))

@@ -153,17 +153,14 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`signed_ldl` on a square complex128 ``H`` that is Hermitian up
-    to roundoff, such as one the library built as ``J dagger(g) g``.
+    """:func:`signed_ldl` on a square, finite complex128 ``H`` that is
+    Hermitian up to roundoff, such as one the library built as ``J dagger(g) g``.
 
     Judges no symmetry: it factors the Hermitian part ``(H + H*) / 2``, so a
     roundoff-level asymmetry never fails a call made with ``tol`` below
-    roundoff.  An overflowed entry raises the :class:`NonFiniteInput` that
-    validating ``H`` would have raised.
+    roundoff.
     """
     n = H.shape[0]
-    if not np.all(np.isfinite(H)):
-        raise NonFiniteInput("matrix contains NaN or Inf entries")
     Hs = 0.5 * (H + H.conj().T)
     L = np.eye(n, dtype=np.complex128)
     d = np.zeros(n)

@@ -5,17 +5,26 @@ import ast
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from supq import cli
-from supq.docio import build_report, dumps, matrix_to_doc
+from supq.docio import dumps, matrix_to_doc
 from supq.indefinite import Signature
 from supq.selftest import SuiteResult, random_decomposable
 
+# main judges overflow itself; no numpy warning may escape it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SIG11 = Signature(1, 1)
 SQ2 = np.sqrt(2.0)
+# An AN element of SU(2, 1) whose symmetrization dagger(b) b overflows.
+OVERFLOWING_AN = np.array([[1e4, 2e154, 0.0], [0.0, 1e-2, 0.0], [0.0, 0.0, 1e-2]])
 
 
 def _write_doc(tmp_path, name, M, sig=SIG11, **extra):
@@ -26,10 +35,14 @@ def _write_doc(tmp_path, name, M, sig=SIG11, **extra):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _run_json(capsys, argv):
     code = cli.main(argv + ["--json"])
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_refuse_constant)
 
 
 def _doc_to_matrix(doc):
@@ -227,6 +240,17 @@ def test_sym_rejects_non_triangular(tmp_path, capsys):
     assert rep["diagnostics"]["error_code"] == "invalid_input"
 
 
+def test_sym_that_overflows_exits_3(tmp_path, capsys):
+    path = _write_doc(tmp_path, "b.json", OVERFLOWING_AN, sig=Signature(2, 1))
+    code, rep = _run_json(capsys, ["sym", "--in", path])
+    assert code == 3
+    assert rep["success"] is False
+    assert rep["diagnostics"] == {"error_code": "error",
+                                  "detail": "matrix contains NaN or Inf entries"}
+    assert cli.main(["sym", "--in", path]) == 3
+    assert capsys.readouterr().out.startswith("sym: failed\n  error_code = error\n")
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -238,8 +262,7 @@ def test_sym_rejects_non_triangular(tmp_path, capsys):
         ([[0.0, 1.0]], "spacelike", -1.0),
         ([[1.0, 1.0]], "null", 0.0),
         # the squared entry overflows; the margin is still finite
-        pytest.param([[1e200, 0.0]], "timelike", 1.0,
-                     marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+        ([[1e200, 0.0]], "timelike", 1.0),
     ],
 )
 def test_classify_vectors(tmp_path, capsys, vec, cone, margin):
@@ -366,11 +389,27 @@ def test_boundary_input_exits_2(tmp_path, capsys, command, text, tol, detail):
 
 
 def test_human_output_prints_a_non_finite_matrix(capsys):
-    # an output that overflowed (dagger(b) b of a huge AN element) still prints
     doc = matrix_to_doc(np.array([[np.inf, 0.0], [0.0, 1.0]]), SIG11)
-    cli._emit(build_report("sym", True, {"sym": doc}), as_json=False)
+    report = {"command": "sym", "success": True, "outputs": {"sym": doc}, "diagnostics": {}}
+    cli._emit(report, as_json=False)
     out = capsys.readouterr().out
     assert out.startswith("sym: ok\n  sym =\n[[inf+0.j")
+
+
+@pytest.mark.parametrize(
+    "command, sig, matrix, code",
+    [("classify", SIG11, [[1e200, 0.0]], 0), ("sym", Signature(2, 1), OVERFLOWING_AN, 3)],
+    ids=["classify", "sym"],
+)
+def test_overflow_prints_nothing_on_stderr(tmp_path, command, sig, matrix, code):
+    path = _write_doc(tmp_path, "doc.json", matrix, sig=sig)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "supq", command, "--in", path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""JSON document parsing, serialization round trips, report assembly."""
+"""JSON document parsing, serialization round trips, the grid encoder."""
 
 import json
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from supq.docio import (
-    build_report,
-    complex_to_pair,
     dumps,
     load_document,
     matrix_to_doc,
@@ -126,9 +124,35 @@ def test_round_trip_is_bit_exact():
 
 
 def test_complex_and_grid_helpers():
-    assert complex_to_pair(1.5 - 2.5j) == [1.5, -2.5]
+    assert matrix_to_grid(1.5 - 2.5j) == [[[1.5, -2.5]]]
     grid = matrix_to_grid(np.array([[1j]]))
     assert grid == [[[0.0, 1.0]]]
+
+
+def _reference_grid(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(M)]
+
+
+def _encoder_inputs():
+    rng = np.random.default_rng(17)
+    for n in range(1, 17):
+        yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    yield np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]])
+    yield rng.standard_normal(5) + 1j * rng.standard_normal(5)  # a 1-D vector
+    yield rng.standard_normal((3, 3))  # real dtype
+
+
+@pytest.mark.parametrize("M", list(_encoder_inputs()), ids=lambda M: f"{M.dtype}{M.shape}")
+def test_grid_encoder_matches_per_entry_reference(M):
+    # same JSON text, so -0.0 and every last bit survive
+    assert json.dumps(matrix_to_grid(M)) == json.dumps(_reference_grid(M))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dumps_refuses_non_finite_values(bad):
+    # load_document refuses NaN and Inf, so the writer does too
+    with pytest.raises(ValueError):
+        dumps(matrix_to_doc(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11))
 
 
 def test_load_document_rejects_invalid_json():
@@ -136,24 +160,3 @@ def test_load_document_rejects_invalid_json():
     for text in ("{not json", "[" * 100_000, "1" + "0" * 5000):
         with pytest.raises(ParseError, match="invalid JSON"):
             load_document(text)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_build_report_success():
-    rep = build_report("decompose", True, {"s": 1}, residual=1e-12)
-    assert rep["command"] == "decompose"
-    assert rep["success"] is True
-    assert rep["outputs"] == {"s": 1}
-    assert rep["diagnostics"] == {"residual": 1e-12}
-    json.loads(dumps(rep))  # serializable
-
-
-def test_build_report_failure_needs_error_code():
-    rep = build_report("check", False, {}, error_code="precondition", detail="why")
-    assert rep["diagnostics"]["error_code"] == "precondition"
-    assert rep["diagnostics"]["detail"] == "why"
-    with pytest.raises(ValueError):
-        build_report("check", False, {})

@@ -286,6 +286,15 @@ def test_overflowing_gram_matrix_is_non_finite_input():
         decompose_gauss(g, SIG11)
 
 
+def test_overflowing_symmetrization_is_non_finite_input():
+    # b is in AN, but dagger(b) b overflows to inf and nan
+    b = np.array([[1e4, 2e154, 0], [0, 1e-2, 0], [0, 0, 1e-2]], dtype=complex)
+    for call in (sym, check_admissible_an):
+        with pytest.raises(NonFiniteInput, match="^matrix contains NaN or Inf entries$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            call(b, SIG21)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gs_factors_an_element_whose_column_norms_overflow():
     # the squared norm of column 1 overflows and that of column 2 underflows;
@@ -438,6 +447,7 @@ def test_dress_factorizes_the_product():
         np.testing.assert_allclose(
             out.g_prime @ out.b_prime, prod, rtol=0, atol=1e-9 * np.linalg.norm(prod)
         )
+        assert out.residual == float(np.linalg.norm(prod - out.g_prime @ out.b_prime))
         assert is_member(out.g_prime, GroupTag.G0, sig, 1e-7)
         assert is_member(out.b_prime, GroupTag.AN, sig, 1e-9)
 
