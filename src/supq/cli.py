@@ -11,7 +11,8 @@ Exit codes:
 * 0 on success;
 * 2 on malformed input (a document, ``--tol`` or ``--nmax``);
 * 3 on a violated precondition (membership, zero vector, mismatched
-  signatures) or a symmetrization that overflows;
+  signatures), a symmetrization that overflows, or, with ``--json``, a
+  result holding NaN or Inf, which JSON cannot carry;
 * 4 when the element is not decomposable.
 """
 
@@ -54,14 +55,19 @@ def _document(path: str | None, allow_vector: bool = False) -> tuple[np.ndarray,
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    """Print ``report``; as JSON, a NaN or Inf value raises NonFiniteInput first."""
     if as_json:
         print(docio.dumps(report))
         return
-    status = "ok" if report["success"] else "failed"
-    print(f"{report['command']}: {status}")
-    for key, value in report["diagnostics"].items():
-        print(f"  {key} = {value}")
-    for key, value in report["outputs"].items():
+    outputs = report["outputs"]
+    if report["command"] == "selftest" and report["success"]:
+        for name, entry in outputs.items():
+            if name != "all_passed":
+                print(f"{'PASS' if entry['passed'] else 'FAIL'} {name}: {entry['detail']}")
+        print("all passed" if outputs["all_passed"] else "some suites FAILED")
+        return
+    print(f"{report['command']}: {'ok' if report['success'] else 'failed'}")
+    for key, value in (*report["diagnostics"].items(), *outputs.items()):
         if isinstance(value, dict) and "matrix" in value:
             # [re, im] float pairs viewed as complex; an overflowed output stays printable
             M = np.asarray(value["matrix"], dtype=float).view(np.complex128)[..., 0]
@@ -70,8 +76,7 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"  {key} = {value}")
 
 
-#: Errors a command lets through, mapped to (error_code, exit code); the
-#: first matching row wins.
+#: (errors a command lets through, error_code, exit code); the first match wins.
 _ERROR_REPORTS = (
     (ParseError, "parse_error", EXIT_PARSE),
     (NotDecomposable, "not_decomposable", EXIT_NOT_DECOMPOSABLE),
@@ -82,17 +87,15 @@ _ERROR_REPORTS = (
 
 def cmd_decompose(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
-    outputs: dict = {"method": args.method, **echo}
     pairs = {}
     if args.method in ("gauss", "both"):
         pairs["gauss"] = decompose_gauss(M, sig, args.tol)
     if args.method in ("gs", "both"):
         pairs["gs"] = decompose_gs(M, sig, args.tol)
     primary = pairs.get("gauss") or pairs["gs"]
-    outputs["s"] = docio.matrix_to_doc(primary.s, sig)
-    outputs["b"] = docio.matrix_to_doc(primary.b, sig)
-    outputs["a"] = [float(v) for v in primary.a]
-    outputs["n"] = docio.matrix_to_doc(primary.n_factor, sig)
+    outputs = {"method": args.method, **echo, "s": docio.matrix_to_doc(primary.s, sig),
+               "b": docio.matrix_to_doc(primary.b, sig), "a": [float(v) for v in primary.a],
+               "n": docio.matrix_to_doc(primary.n_factor, sig)}
     if args.method == "both":
         scale = max(1.0, float(np.linalg.norm(M)))
         outputs["agreement"] = max(
@@ -163,15 +166,6 @@ def cmd_selftest(args) -> tuple[dict, dict]:
     return outputs, {}
 
 
-def _print_selftest_human(outputs: dict) -> None:
-    for name, entry in outputs.items():
-        if name == "all_passed":
-            continue
-        flag = "PASS" if entry["passed"] else "FAIL"
-        print(f"{flag} {name}: {entry['detail']}")
-    print("all passed" if outputs["all_passed"] else "some suites FAILED")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -225,23 +219,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = EXIT_OK
+    report = {"command": args.command, "success": True, "outputs": {}, "diagnostics": {}}
     try:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
         # overflow is judged by the library and reported, never warned about
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            outputs, diagnostics = args.func(args)
+            report["outputs"], report["diagnostics"] = args.func(args)
+        _emit(report, args.json)
+        return EXIT_OK
     except SupqError as exc:
         error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
-        outputs, diagnostics = {}, {"error_code": error_code, "detail": str(exc)}
-    if args.command == "selftest" and code == EXIT_OK and not args.json:
-        _print_selftest_human(outputs)
-    else:
-        report = {"command": args.command, "success": code == EXIT_OK,
-                  "outputs": outputs, "diagnostics": diagnostics}
+        report.update(success=False, outputs={},
+                      diagnostics={"error_code": error_code, "detail": str(exc)})
         _emit(report, args.json)
-    return code
+        return code
 
 
 if __name__ == "__main__":

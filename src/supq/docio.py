@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteInput, ParseError
 from .indefinite import Signature
 
 
@@ -118,6 +118,9 @@ def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
 
 def dumps(obj: dict) -> str:
     """Serialize a document or report; floats keep full round-trip precision.
-    A NaN or Inf value raises ValueError: :func:`load_document` could not
-    read it back."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    A NaN or Inf value raises NonFiniteInput: :func:`load_document` could
+    not read it back."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteInput(str(exc)) from None

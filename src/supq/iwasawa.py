@@ -57,6 +57,15 @@ class DressResult:
     residual: float
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F, taken of x / max|x| and rescaled where the plain sum of squares overflows."""
+    norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        peak = float(np.max(np.abs(x)))
+        norm = peak * float(np.linalg.norm(x / peak))
+    return norm
+
+
 def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetrization dagger(b) b of a triangular factor.
 
@@ -126,8 +135,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     a = np.diagonal(B).real.copy()
     n_factor = B / a[:, None]
     np.fill_diagonal(n_factor, 1.0)
-    residual = float(np.linalg.norm(g - R @ B))
-    return DecompPair(s=R, b=B, a=a, n_factor=n_factor, residual=residual)
+    return DecompPair(s=R, b=B, a=a, n_factor=n_factor, residual=_frobenius(g - R @ B))
 
 
 def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
@@ -185,8 +193,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
             f"recovered factor failed the pseudo-unitarity check: defect {defect:.3e} > {window:.3e}",
             index=int(np.argmax(np.linalg.norm(gram_defect, axis=0))) + 1, kind="unitary_check",
         )
-    residual = float(np.linalg.norm(g - s @ b))
-    return DecompPair(s=s, b=b, a=a, n_factor=n_factor, residual=residual)
+    return DecompPair(s=s, b=b, a=a, n_factor=n_factor, residual=_frobenius(g - s @ b))
 
 
 def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:

@@ -117,6 +117,18 @@ def test_decompose_widely_scaled_triangular_element(tmp_path, capsys, method):
     np.testing.assert_array_equal(_doc_to_matrix(rep["outputs"]["b"]), g)
 
 
+def test_decompose_past_the_squared_float_range_reports_a_finite_residual(tmp_path, capsys):
+    # the Gram-Schmidt factors of boost . diag(1e300, 1e-300) are finite,
+    # and so is the residual, though ||g - s b||_F^2 overflows
+    boost = np.array([[np.cosh(0.5), np.sinh(0.5)], [np.sinh(0.5), np.cosh(0.5)]])
+    path = _write_doc(tmp_path, "g.json", boost @ np.diag([1e300, 1e-300]))
+    code, rep = _run_json(capsys, ["decompose", "--in", path, "--method", "gs"])
+    assert code == 0
+    assert rep["diagnostics"]["residual"] <= 1e-12 * 1e300
+    assert cli.main(["decompose", "--in", path, "--method", "gs"]) == 0
+    assert "residual = inf" not in capsys.readouterr().out
+
+
 def test_decompose_human_output(tmp_path, capsys):
     path = _write_doc(tmp_path, "id.json", np.eye(2))
     code = cli.main(["decompose", "--in", path])
@@ -394,6 +406,20 @@ def test_human_output_prints_a_non_finite_matrix(capsys):
     cli._emit(report, as_json=False)
     out = capsys.readouterr().out
     assert out.startswith("sym: ok\n  sym =\n[[inf+0.j")
+
+
+def test_json_report_refuses_a_non_finite_result(tmp_path, capsys, monkeypatch):
+    # JSON cannot carry inf: --json gives an error report and exit 3, never
+    # a traceback; the human form prints the value
+    monkeypatch.setattr(cli, "sym", lambda b, sig, tol: np.full((2, 2), np.inf))
+    path = _write_doc(tmp_path, "b.json", np.eye(2))
+    code, rep = _run_json(capsys, ["sym", "--in", path])
+    assert code == 3
+    assert rep["success"] is False
+    assert rep["diagnostics"]["error_code"] == "error"
+    assert "not JSON compliant" in rep["diagnostics"]["detail"]
+    assert cli.main(["sym", "--in", path]) == 0
+    assert capsys.readouterr().out.startswith("sym: ok\n  sym =\n[[inf+0.j")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from supq.docio import (
     parse_document,
     parse_signature,
 )
-from supq.errors import ParseError
+from supq.errors import NonFiniteInput, ParseError
 from supq.indefinite import Signature
 
 SIG11 = Signature(1, 1)
@@ -151,7 +151,7 @@ def test_grid_encoder_matches_per_entry_reference(M):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_dumps_refuses_non_finite_values(bad):
     # load_document refuses NaN and Inf, so the writer does too
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteInput, match="not JSON compliant"):
         dumps(matrix_to_doc(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11))
 
 

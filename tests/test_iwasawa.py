@@ -311,6 +311,19 @@ def test_gs_factors_an_element_whose_column_norms_overflow():
         decompose_gs(h, SIG21)
 
 
+def test_residual_of_a_factorization_past_the_squared_float_range_is_finite():
+    # boost . diag(1e300, 1e-300) factors with b ~ 1e300; the plain sum of
+    # squares of g - s b overflows, its rescaled norm does not
+    t = 0.5
+    boost = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]], dtype=complex)
+    g = boost @ np.diag([1e300, 1e-300])
+    with np.errstate(over="ignore"):
+        pair = decompose_gs(g, SIG11)
+    np.testing.assert_allclose(pair.s, boost, rtol=1e-12)
+    assert np.isfinite(pair.residual)
+    assert pair.residual <= 1e-12 * 1e300
+
+
 def test_widely_scaled_triangular_element_is_its_own_factor():
     # signed_ldl certifies a_3 = 1e-4; the back-substitution must not reject
     # it a second time for being small next to ||b||_F = 1e5
