@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margin,
-                         _pairing, _scaled, _sym, sample_cone)
+                         _pairing, _quiet, _row_margins, _sample_cones, _scaled, _sym)
 from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
@@ -152,26 +152,31 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     return _admissibility_report(eig(_sym(b, sig.j_diag)), sig, tol)
 
 
+@_quiet
 def cone_preservation_check(
     s, sig: Signature, trials: int = 1000, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> bool:
     """Monte-Carlo necessary condition for admissibility.
 
-    Draws ``trials`` vectors, alternating timelike and null, and returns
-    False as soon as some image ``s @ x`` fails to classify as timelike.
-    A True verdict is probabilistic evidence, not a proof.  An image that
-    overflows to Inf raises NonFiniteInput.
+    Draws ``trials`` vectors, alternating timelike and null, as that run of
+    ``sample_cone`` calls on ``default_rng(seed)`` would, in blocks of 1, 2,
+    4, ... vectors, and returns False if an image ``s @ x`` fails to classify
+    as timelike, unless an image drawn before it overflows to Inf: that raises
+    NonFiniteInput.  A True verdict is probabilistic evidence, not a proof.
     """
     s = _check_matrix(s, sig)
     rng = np.random.default_rng(seed)
-    for i in range(trials):
-        cls = ConeClass.TIMELIKE if i % 2 == 0 else ConeClass.NULL
-        x = sample_cone(cls, sig, rng)
-        if _classify(s @ x, sig.p, tol) is not ConeClass.TIMELIKE:
-            return False
+    for k in range(int(trials).bit_length()):  # samples 2**k - 1 up to 2**(k+1) - 2
+        block = range(2**k - 1, min(trials, 2 ** (k + 1) - 1))
+        images = _sample_cones([ConeClass.NULL if i % 2 else ConeClass.TIMELIKE for i in block], sig, rng) @ s.T
+        ns, e2, normal = _row_margins(images, sig.p)
+        for y in images[~(normal & (ns > tol * e2))]:  # the rest are timelike without rescaling
+            if _classify(y, sig.p, tol) is not ConeClass.TIMELIKE:
+                return False
     return True
 
 
+@_quiet
 def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     """The ratio <s x, x> / <x, x> for a timelike vector x.
 

@@ -56,11 +56,11 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     """Tolerance-based membership test for ``tag``.
 
     Structural zeros (below-diagonal entries for the triangular family) and
-    symmetry defects are compared against ``tol * max(1, ||M||_F)``; the
-    determinant against a conditioning-aware window around 1.  The
-    determinant window (an LU, plus an SVD when the determinant misses 1
-    by more than ``tol``) is evaluated last, and only for the sets that
-    constrain the determinant.
+    symmetry defects are compared against ``tol * max(1, ||M||_F)``, the
+    imaginary part of a diagonal entry against ``tol`` times its modulus,
+    and the determinant against a conditioning-aware window around 1.  The
+    determinant window (an LU, plus an SVD when it misses 1 by more than
+    ``tol``) is evaluated last, and only for the sets that constrain it.
     """
     return _in_set(_check_matrix(M, sig), tag, sig, tol)
 
@@ -79,8 +79,7 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
 
     strictly_lower_ok = np.linalg.norm(np.tril(M, -1)) <= tol * scale
     diag = np.diagonal(M)
-    diag_real = bool(np.all(np.abs(diag.imag) <= tol * (1.0 + np.abs(diag.real))))
-    diag_pos = diag_real and bool(np.all(diag.real > tol))
+    diag_pos = bool(np.all(diag.real > 0) and np.all(np.abs(diag.imag) <= tol * np.abs(diag)))
 
     if tag is GroupTag.N:
         return strictly_lower_ok and bool(np.all(np.abs(diag - 1.0) <= tol))

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
 from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # for the calls that judge overflow themselves
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -100,17 +102,26 @@ def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float, int]:
     return float(np.sum(mags[:p]) - np.sum(mags[p:])), e2, k
 
 
+def _row_margins(Y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unscaled (<y, y>, ||y||_2^2) of each row y of Y, and where they are :func:`_cone_margin`'s."""
+    mags = Y.real**2 + Y.imag**2
+    e2 = mags.sum(axis=1)
+    return mags[:, :p].sum(axis=1) - mags[:, p:].sum(axis=1), e2, (e2 >= sys.float_info.min) & (e2 < math.inf)
+
+
 def _scaled(x: np.ndarray, k: int) -> np.ndarray:
     """``2**-k x``, exact while no entry leaves the normal range."""
     return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k)
 
 
+@_quiet
 def norm_sq(x, sig: Signature) -> float:
     """<x, x> as a real number: ||x[:p]||^2 - ||x[p:]||^2, ±inf if it overflows."""
     ns, _, k = _cone_margin(_check_vector(x, sig), sig.p)
     return float(np.ldexp(ns, 2 * k))
 
 
+@_quiet
 def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
     """Cone trichotomy of a nonzero vector.
 
@@ -165,19 +176,22 @@ def sample_cone(cls: ConeClass, sig: Signature, rng_seed: int | np.random.Genera
     satisfy ``|norm_sq(x)| <= 1e-12``; timelike and spacelike samples sit
     well away from the cone boundary.
     """
-    rng = np.random.default_rng(rng_seed)
-    p = sig.p
-    z = rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n)
+    return _sample_cones([cls], sig, np.random.default_rng(rng_seed))[0]
+
+
+def _sample_cones(classes: list[ConeClass], sig: Signature, rng: np.random.Generator) -> np.ndarray:
+    """Row i is ``sample_cone(classes[i], sig, rng)``, drawn by the same generator calls in the same order."""
+    n, p = sig.n, sig.p
+    draws, u = np.empty((len(classes), 2 * n)), np.zeros(len(classes))
+    for i, cls in enumerate(classes):
+        rng.standard_normal(out=draws[i])  # the n real parts, then the n imaginary parts
+        u[i] = 0.0 if cls is ConeClass.NULL else rng.uniform(0.1, 0.6)
+    z = draws[:, :n] + 1j * draws[:, n:]
     mags = z.real**2 + z.imag**2
-    pos = float(np.sum(mags[:p]))
-    neg = float(np.sum(mags[p:]))
-    if cls is ConeClass.NULL:
-        # timelike part + spacelike part rescaled to exact cancellation
-        z[p:] *= np.sqrt(pos / neg)
-        return z / np.linalg.norm(z)
-    margin = rng.uniform(0.1, 0.6) * (pos + neg)
-    if cls is ConeClass.TIMELIKE:
-        z[:p] *= np.sqrt((margin + neg) / pos)
-    else:
-        z[p:] *= np.sqrt((margin + pos) / neg)
+    pos, neg = mags[:, :p].sum(axis=1), mags[:, p:].sum(axis=1)
+    margin, timelike = u * (pos + neg), np.array([cls is ConeClass.TIMELIKE for cls in classes], bool)
+    # a null row (u = 0) gets its spacelike part rescaled to exact cancellation, then unit norm
+    z[:, :p] *= np.where(timelike, np.sqrt((margin + neg) / pos), 1.0)[:, None]
+    z[:, p:] *= np.where(timelike, 1.0, np.sqrt((margin + pos) / neg))[:, None]
+    z[u == 0] /= np.linalg.norm(z[u == 0], axis=1)[:, None]
     return z

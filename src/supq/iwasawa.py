@@ -27,7 +27,7 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
-from .indefinite import Signature, _cone_margin, _dagger, _sym
+from .indefinite import Signature, _cone_margin, _dagger, _quiet, _sym
 from .kernel import DEFAULT_TOL, _signed_ldl, eig, mat_exp
 
 
@@ -76,6 +76,7 @@ def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _sym(_require(b, GroupTag.AN, sig, tol), sig.j_diag)
 
 
+@_quiet
 def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     """Factor g = s b by pseudo-orthonormalizing the columns of g.
 

@@ -13,7 +13,9 @@ from supq.admissible import (
 )
 from supq.errors import DimensionMismatch, NonFiniteInput, NotInAN, NotInQ, NotTimelike
 from supq.groups import random_g0
-from supq.indefinite import Signature, dagger
+from supq.indefinite import ConeClass, Signature, classify, dagger, norm_sq, sample_cone
+from supq.iwasawa import decompose_gs
+from supq.selftest import random_admissible_q, random_nonadmissible_q, random_signature
 
 SIG11 = Signature(1, 1)
 SIG21 = Signature(2, 1)
@@ -204,7 +206,6 @@ def test_cone_check_dimension_guard():
         cone_preservation_check(np.eye(3), SIG11)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cone_check_at_extreme_scale():
     # every image of a timelike or null sample has an entry whose square overflows
     assert cone_preservation_check(np.diag([1e160, 1e-160]), SIG11, trials=200, seed=7)
@@ -213,8 +214,71 @@ def test_cone_check_at_extreme_scale():
 
 def test_cone_check_rejects_an_overflowing_image():
     s = np.array([[1.5e308, 1.5e308], [0.0, 1.0]])
-    with pytest.raises(NonFiniteInput), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(NonFiniteInput):
         cone_preservation_check(s, SIG11, trials=10, seed=7)
+
+
+def _per_sample_cone_check(s, sig, trials, seed):
+    """The cone check one sample at a time, as the library once ran it:
+    the reference the blocked check must agree with."""
+    rng = np.random.default_rng(seed)
+    for i in range(trials):
+        x = sample_cone(ConeClass.NULL if i % 2 else ConeClass.TIMELIKE, sig, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = s @ x
+        if classify(image, sig) is not ConeClass.TIMELIKE:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 8, 1000])
+def test_cone_check_matches_the_per_sample_reference(trials):
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for k in range(16):
+        sig = random_signature(rng, 6)
+        s = (random_admissible_q if k % 2 == 0 else random_nonadmissible_q)(sig, rng)
+        seed = int(rng.integers(2**32))
+        verdict = cone_preservation_check(s, sig, trials, seed)
+        assert verdict == _per_sample_cone_check(s, sig, trials, seed)
+        verdicts.append(verdict)
+    assert verdicts[::2] == [True] * 8  # admissible elements always pass
+    if trials == 1000:
+        assert False in verdicts
+
+
+# c * (x_1 + x_2, x_2): a null sample's image is often not timelike, and a
+# timelike sample's image often overflows.  The samples are judged in blocks
+# of 1, 2, 4, 8; each seed puts both events in one block.
+OVERFLOW_PRONE = 1e308 * np.array([[1, 1], [0, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("seed", [9, 268, 78])  # violation at sample 1, 3, 7; overflow at 2, 6, 10
+def test_cone_check_violation_before_an_overflowing_image_is_false(seed):
+    assert not cone_preservation_check(OVERFLOW_PRONE, SIG11, trials=16, seed=seed)
+    assert not _per_sample_cone_check(OVERFLOW_PRONE, SIG11, 16, seed)
+
+
+@pytest.mark.parametrize("seed", [81, 83])  # overflow at sample 4, 10; violation at 5, 11
+def test_cone_check_overflowing_image_before_a_violation_raises(seed):
+    with pytest.raises(NonFiniteInput):
+        cone_preservation_check(OVERFLOW_PRONE, SIG11, trials=16, seed=seed)
+    with pytest.raises(NonFiniteInput):
+        _per_sample_cone_check(OVERFLOW_PRONE, SIG11, 16, seed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_library_calls_judge_overflow_without_warnings():
+    # squares of these entries overflow: each call rescales or raises, and numpy stays quiet
+    big = np.array([1e200, 0.5e200])
+    assert classify(big, SIG11) is ConeClass.TIMELIKE
+    assert norm_sq(big, SIG11) == np.inf
+    assert pseudo_rayleigh(np.eye(2), big, SIG11) == 1.0
+    assert cone_preservation_check(np.diag([1e160, 1e-160]), SIG11, trials=50, seed=7)
+    with pytest.raises(NonFiniteInput):
+        cone_preservation_check(OVERFLOW_PRONE, SIG11, trials=16, seed=81)
+    g = np.diag([1e200, 1e-200]).astype(complex)
+    np.testing.assert_array_equal(decompose_gs(g, SIG11).b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +299,6 @@ def test_pseudo_rayleigh_diagonal():
     assert val > E
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_pseudo_rayleigh_at_extreme_scale():
     assert pseudo_rayleigh(np.eye(2), [1e200, 0], SIG11) == 1.0
     assert pseudo_rayleigh(np.eye(2), [1e-200, 0], SIG11) == 1.0

@@ -170,6 +170,14 @@ def test_check_membership_sets(tmp_path, capsys, target, verdict):
     assert rep["outputs"]["verdict"] is verdict
 
 
+@pytest.mark.parametrize("target", ["a", "an"])
+def test_check_widely_scaled_diagonal_is_in_an(tmp_path, capsys, target):
+    path = _write_doc(tmp_path, "d.json", np.diag([1e170, 1e-170]))
+    code, rep = _run_json(capsys, ["check", "--in", path, "--set", target])
+    assert code == 0
+    assert rep["outputs"]["verdict"] is True
+
+
 def test_check_admissibility_of_non_member_is_a_false_verdict(tmp_path, capsys):
     # a unipotent is not dagger-fixed: the predicate answers "no" cleanly
     path = _write_doc(tmp_path, "n.json", [[1.0, 1.0], [0.0, 1.0]])

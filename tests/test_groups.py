@@ -75,6 +75,15 @@ def test_large_scale_members_still_accepted():
     assert is_member(M, GroupTag.AN, SIG11)
 
 
+def test_widely_scaled_positive_diagonal_is_in_an():
+    M = np.diag([1e10, 1e-10])
+    assert is_member(M, GroupTag.AN, SIG11)
+    assert is_member(M, GroupTag.A, SIG11)
+    # an imaginary part is judged against the size of its own entry
+    assert not is_member(np.diag([1e10, 1e-10 * (1 + 1e-6j)]), GroupTag.AN, SIG11)
+    assert not is_member(np.diag([-1e10, -1e-10]), GroupTag.AN, SIG11)
+
+
 def test_clearly_wrong_determinant_rejected_at_any_scale():
     M = np.diag([1e4, 2.0 / 1e4]).astype(complex)  # det 2
     assert not is_member(M, GroupTag.A, SIG11)

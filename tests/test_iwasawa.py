@@ -295,7 +295,6 @@ def test_overflowing_symmetrization_is_non_finite_input():
             call(b, SIG21)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gs_factors_an_element_whose_column_norms_overflow():
     # the squared norm of column 1 overflows and that of column 2 underflows;
     # the Gauss route's dagger(g) g overflows and stays NonFiniteInput
@@ -575,3 +574,12 @@ def test_decomposable_columns_dominate_their_cross_pairing():
         cross = pairing(v2, v1, SIG21)
         assert n1 > 0
         assert n1 * n2 > abs(cross) ** 2
+
+
+def test_gs_factor_of_a_widely_scaled_diagonal_is_in_an():
+    # the diagonal test of AN is relative to each entry, so a factor with
+    # b_22 = 1e-10 is the library's own, and sym accepts it
+    g = np.diag([1e10, 1e-10]).astype(complex)
+    b = decompose_gs(g, SIG11).b
+    np.testing.assert_array_equal(b, g)
+    np.testing.assert_allclose(sym(b, SIG11), np.diag([1e20, 1e-20]), rtol=1e-15, atol=0)
