@@ -31,7 +31,7 @@ from .errors import MembershipError, NotDecomposable, NotInG0, ParseError, SupqE
 from .groups import GroupTag, is_member
 from .indefinite import Signature, _cone_margin, classify
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
-from .kernel import DEFAULT_TOL
+from .kernel import DEFAULT_TOL, _frobenius
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -97,10 +97,9 @@ def cmd_decompose(args) -> tuple[dict, dict]:
                "b": docio.matrix_to_doc(primary.b, sig), "a": [float(v) for v in primary.a],
                "n": docio.matrix_to_doc(primary.n_factor, sig)}
     if args.method == "both":
-        scale = max(1.0, float(np.linalg.norm(M)))
+        scale = max(1.0, _frobenius(M))
         outputs["agreement"] = max(
-            float(np.linalg.norm(pairs["gauss"].s - pairs["gs"].s)),
-            float(np.linalg.norm(pairs["gauss"].b - pairs["gs"].b)),
+            _frobenius(pairs["gauss"].s - pairs["gs"].s), _frobenius(pairs["gauss"].b - pairs["gs"].b)
         ) / scale
     return outputs, {"residual": max(pair.residual for pair in pairs.values())}
 
@@ -109,7 +108,7 @@ def cmd_check(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
     outputs: dict = {"set": args.set, **echo}
     if args.set not in ("q_adm", "an_adm"):
-        outputs["verdict"] = bool(is_member(M, GroupTag(args.set), sig, args.tol))
+        outputs["verdict"] = is_member(M, GroupTag(args.set), sig, args.tol)
         return outputs, {}
     checker = check_admissible_q if args.set == "q_adm" else check_admissible_an
     try:

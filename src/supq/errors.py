@@ -63,7 +63,7 @@ class NotDecomposable(SupqError):
 
     ``index`` is the 1-based column / pivot where the failure was detected and
     ``kind`` names the failure mode (``wrong_cone``, ``null_boundary``,
-    ``singular_minor``, ``wrong_inertia``).
+    ``singular_minor``, ``wrong_inertia``, ``unitary_check``).
     """
 
     def __init__(self, message: str, index: int | None = None, kind: str | None = None):

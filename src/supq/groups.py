@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
-from .indefinite import Signature, _check_matrix, _dagger, dagger
-from .kernel import DEFAULT_TOL, mat_exp
+from .indefinite import Signature, _check_matrix, _dagger, _quiet, dagger
+from .kernel import DEFAULT_TOL, _frobenius, mat_exp
 
 
 class GroupTag(enum.Enum):
@@ -52,6 +52,7 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     return miss <= allowance
 
 
+@_quiet
 def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> bool:
     """Tolerance-based membership test for ``tag``.
 
@@ -59,10 +60,12 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     symmetry defects are compared against ``tol * max(1, ||M||_F)``, the
     imaginary part of a diagonal entry against ``tol`` times its modulus,
     and the determinant against a conditioning-aware window around 1.  The
-    determinant window (an LU, plus an SVD when it misses 1 by more than
-    ``tol``) is evaluated last, and only for the sets that constrain it.
+    Frobenius norms are taken so that they do not overflow, so an entry
+    near 1e200 is judged like a moderate one.  The determinant window (an
+    LU, plus an SVD when it misses 1 by more than ``tol``) is evaluated
+    last, and only for the sets that constrain it.
     """
-    return _in_set(_check_matrix(M, sig), tag, sig, tol)
+    return bool(_in_set(_check_matrix(M, sig), tag, sig, tol))
 
 
 def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
@@ -70,21 +73,21 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
     n = sig.n
     if tag is GroupTag.G:
         return _det_is_one(M, tol)
-    scale = max(1.0, float(np.linalg.norm(M)))
+    scale = max(1.0, _frobenius(M))
     if tag is GroupTag.G0:
-        defect = np.linalg.norm(_dagger(M, sig.j_diag) @ M - np.eye(n))
+        defect = _frobenius(_dagger(M, sig.j_diag) @ M - np.eye(n))
         return defect <= tol * scale and _det_is_one(M, tol)
     if tag is GroupTag.Q:
-        return np.linalg.norm(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
+        return _frobenius(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
 
-    strictly_lower_ok = np.linalg.norm(np.tril(M, -1)) <= tol * scale
+    strictly_lower_ok = _frobenius(np.tril(M, -1)) <= tol * scale
     diag = np.diagonal(M)
     diag_pos = bool(np.all(diag.real > 0) and np.all(np.abs(diag.imag) <= tol * np.abs(diag)))
 
     if tag is GroupTag.N:
         return strictly_lower_ok and bool(np.all(np.abs(diag - 1.0) <= tol))
     if tag is GroupTag.A:
-        off = np.linalg.norm(M - np.diag(diag))
+        off = _frobenius(M - np.diag(diag))
         return off <= tol * scale and diag_pos and _det_is_one(M, tol)
     if tag is GroupTag.AN:
         return strictly_lower_ok and diag_pos and _det_is_one(M, tol)

@@ -28,7 +28,7 @@ from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
 from .indefinite import Signature, _cone_margin, _dagger, _quiet, _sym
-from .kernel import DEFAULT_TOL, _signed_ldl, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _signed_ldl, eig, mat_exp
 
 
 @dataclass
@@ -55,15 +55,6 @@ class DressResult:
     g_prime: np.ndarray
     b_prime: np.ndarray
     residual: float
-
-
-def _frobenius(x: np.ndarray) -> float:
-    """||x||_F, taken of x / max|x| and rescaled where the plain sum of squares overflows."""
-    norm = float(np.linalg.norm(x))
-    if math.isinf(norm):
-        peak = float(np.max(np.abs(x)))
-        norm = peak * float(np.linalg.norm(x / peak))
-    return norm
 
 
 def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -184,11 +175,11 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     # honest one leaves roughly eps * cond(b)^2, so the acceptance window
     # widens with the conditioning of the triangular factor (capped well
     # below O(1)).  det(s) = det(g) / prod(a), prod(a) > 0: g's det window covers s.
-    cond_b = float(np.linalg.norm(b)) * float(np.linalg.norm(b_inv))
+    cond_b = _frobenius(b) * _frobenius(b_inv)
     unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b**2), 1e-2)
     gram_defect = _dagger(s, j) @ s - np.eye(n)
-    defect = float(np.linalg.norm(gram_defect))
-    window = unitary_tol * max(1.0, float(np.linalg.norm(s)))
+    defect = _frobenius(gram_defect)
+    window = unitary_tol * max(1.0, _frobenius(s))
     if not defect <= window:
         raise NotDecomposable(
             f"recovered factor failed the pseudo-unitarity check: defect {defect:.3e} > {window:.3e}",
@@ -240,8 +231,8 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     X = np.linalg.solve(V.T, (V * logw).T).T
     X = 0.5 * (X + _dagger(X, sig.j_diag))
     X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
-    defect = np.linalg.norm(mat_exp(X) - s)
-    if defect > 10.0 * tol * max(1.0, float(np.linalg.norm(s))):
+    defect = _frobenius(mat_exp(X) - s)
+    if defect > 10.0 * tol * max(1.0, _frobenius(s)):
         raise NoConvergence(f"log reconstruction defect {defect:.3e} exceeds tolerance")
     return X
 

@@ -16,6 +16,8 @@ the emphasis is on exact contracts and sharp failure modes, not throughput.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,21 @@ def as_cvector(x) -> np.ndarray:
     return v
 
 
+def _frobenius(x: np.ndarray, axis: int | None = None):
+    """||x||_F as a float, or with ``axis`` the 2-norms along it: ``np.linalg.norm``
+    wherever that is finite, else taken of x / max|x| and rescaled (as in Blue's
+    safe norm, ACM TOMS 4(1), 1978), so ``tol * _frobenius(M)`` is finite for
+    every finite M.  An infinite entry still gives inf."""
+    norm = np.linalg.norm(x, axis=axis)
+    if axis is None and not math.isinf(norm):
+        return float(norm)
+    over = np.isinf(norm)
+    if over.any():
+        peak = np.clip(np.max(np.abs(x), axis=axis, keepdims=True), sys.float_info.min, sys.float_info.max)
+        norm = np.where(over, np.squeeze(peak, axis) * np.linalg.norm(x / peak, axis=axis), norm)
+    return norm if axis is not None else float(norm)
+
+
 def mat_exp(X) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring, via scipy)."""
     import scipy.linalg
@@ -95,7 +112,9 @@ def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
     M : array_like
         Square complex matrix, n <= ``EIG_SIZE_CAP``.
     tol_eig : float
-        Residual acceptance threshold, relative to ||M||_F.
+        Residual acceptance threshold, relative to ||M||_F.  The residuals
+        and ||M||_F are taken with a norm that does not overflow, so the
+        bound stays finite at any scale.
 
     Raises
     ------
@@ -115,9 +134,9 @@ def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
     vals = vals[order]
     vecs = vecs[:, order]
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-    residuals = np.linalg.norm(M @ vecs - vecs * vals, axis=0)
+    residuals = _frobenius(M @ vecs - vecs * vals, axis=0)
     max_residual = float(residuals.max()) if n else 0.0
-    bound = tol_eig * np.linalg.norm(M)
+    bound = tol_eig * _frobenius(M)
     if max_residual > bound:
         raise NoConvergence(
             f"eigenpair residual {max_residual:.3e} exceeds {tol_eig:.1e} * ||M||_F = {bound:.3e}"
@@ -142,12 +161,13 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NotHermitian
-        If ``||H - H*||_F > tol * ||H||_F``.
+        If ``||H - H*||_F > tol * ||H||_F``, both norms taken so that they
+        do not overflow.
     SingularMinor
         If the k-th pivot is zero to tolerance (1-based k).
     """
     H = as_cmatrix(H, square=True)
-    if np.linalg.norm(H - H.conj().T) > tol * float(np.linalg.norm(H)):
+    if _frobenius(H - H.conj().T) > tol * _frobenius(H):
         raise NotHermitian("signed_ldl needs a Hermitian input")
     return _signed_ldl(H, tol)
 
@@ -193,7 +213,7 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
     if U.shape[0] == 0:
         return B.copy()
     diag = np.abs(np.diagonal(U))
-    limit = tol * float(np.linalg.norm(np.triu(U)))
+    limit = tol * _frobenius(np.triu(U))
     small = np.flatnonzero(diag <= limit)
     if small.size:
         raise SingularDiagonal(int(small[0]) + 1)

@@ -18,7 +18,7 @@ from .errors import NotDecomposable, SupqError
 from .groups import random_admissible_diag, random_an, random_g0
 from .indefinite import ConeClass, Signature, _cone_margin, _row_margins, _sample_cones, dagger
 from .iwasawa import decompose_gauss, decompose_gs, dress, q_log
-from .kernel import eig, mat_exp
+from .kernel import _frobenius, eig, mat_exp
 from .su11 import Sl2Element, Su11ANElement, Su11QElement, su11_an_admissible, su11_decompose, su11_q_admissible
 
 _SIG11 = Signature(1, 1)
@@ -49,7 +49,7 @@ def _unexpected(exc: SupqError) -> str:
 
 def _rel_err(ref: np.ndarray, approx: np.ndarray) -> float:
     """||ref - approx||_F relative to max(1, ||ref||_F)."""
-    return float(np.linalg.norm(ref - approx)) / max(1.0, float(np.linalg.norm(ref)))
+    return _frobenius(ref - approx) / max(1.0, _frobenius(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +210,11 @@ def suite_global_decomposition(n_max: int = 6, trials: int = 1000, seed: int = 4
     def trial(rng):
         sig = random_signature(rng, n_max)
         g = random_decomposable(sig, rng)
-        scale = max(1.0, float(np.linalg.norm(g)))
+        scale = max(1.0, _frobenius(g))
         p_gauss = decompose_gauss(g, sig)
         p_gs = decompose_gs(g, sig)
         resid = max(p_gauss.residual, p_gs.residual) / scale
-        agree = max(
-            float(np.linalg.norm(p_gauss.s - p_gs.s)),
-            float(np.linalg.norm(p_gauss.b - p_gs.b)),
-        ) / scale
+        agree = max(_frobenius(p_gauss.s - p_gs.s), _frobenius(p_gauss.b - p_gs.b)) / scale
         bad = resid > resid_tol or agree > agree_tol
         return (resid, agree), f"residual {resid:.3e}, agreement {agree:.3e}" if bad else None
 
@@ -338,11 +335,10 @@ def suite_su11_oracle(trials: int = 10000, seed: int = 42, rel: float = 1e-10,
     def factors(rng):
         el = random_sl2_decomposable(rng)
         M = el.as_matrix()
-        scale = max(1.0, float(np.linalg.norm(M)))
+        scale = max(1.0, _frobenius(M))
         k_mat, b_mat = (factor.as_matrix() for factor in su11_decompose(el))
         pairs = decompose_gs(M, _SIG11), decompose_gauss(M, _SIG11)
-        errs = [max(float(np.linalg.norm(p.s - k_mat)), float(np.linalg.norm(p.b - b_mat))) / scale
-                for p in pairs]
+        errs = [max(_frobenius(p.s - k_mat), _frobenius(p.b - b_mat)) / scale for p in pairs]
         bad = [e for e in errs if e > rel]
         return errs, f"oracle distance {bad[0]:.3e}" if bad else None
 

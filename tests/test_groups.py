@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supq.errors import DimensionMismatch
 from supq.groups import (
@@ -82,6 +84,69 @@ def test_widely_scaled_positive_diagonal_is_in_an():
     # an imaginary part is judged against the size of its own entry
     assert not is_member(np.diag([1e10, 1e-10 * (1 + 1e-6j)]), GroupTag.AN, SIG11)
     assert not is_member(np.diag([-1e10, -1e-10]), GroupTag.AN, SIG11)
+
+
+@pytest.mark.parametrize(
+    "M, tag",
+    [
+        ([[1e200, 0], [5e199, 1e-200]], GroupTag.AN),
+        ([[1e200, 3e199], [0, 1e-200]], GroupTag.A),
+        ([[1e200, 3e199], [0, 1e-200]], GroupTag.Q),
+        ([[1, 1e200], [5e199, 1]], GroupTag.N),
+    ],
+)
+def test_non_members_at_overflowing_scale_are_refused(M, tag):
+    # ||M||_F overflows a plain sum of squares: the window must stay finite
+    assert is_member(M, tag, SIG11) is False
+
+
+def test_members_at_overflowing_scale_are_accepted():
+    D = np.diag([1e200, 1e-200])
+    for tag in (GroupTag.AN, GroupTag.A, GroupTag.Q):
+        assert is_member(D, tag, SIG11) is True
+    assert is_member([[1e200, 1e200], [0, 1e-200]], GroupTag.AN, SIG11) is True
+
+
+@st.composite
+def _scaled_members(draw):
+    """``(n, p, {tag: member}, (i, j))``: members of A, AN, N and Q whose
+    largest entries are near a drawn scale in [1e-150, 1e300], and a
+    strictly lower position (i, j)."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(1, n - 1))
+    scale = 10.0 ** draw(st.floats(-150.0, 300.0))
+    k = draw(st.integers(0, n - 1))
+    i = draw(st.integers(1, n - 1))
+    j = draw(st.integers(0, i - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs = rng.uniform(-1.0, 1.0, n)
+    diag = np.exp(logs - logs.mean())
+    diag[k] *= scale
+    diag[(k + 1) % n] /= scale
+    unit = np.eye(n) + np.triu(rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n)), 1)
+    signs = rng.choice([1.0, -1.0], n)
+    signs[0] *= np.prod(signs)  # an even number of negative entries keeps det 1
+    members = {
+        GroupTag.A: np.diag(diag),
+        GroupTag.AN: diag[:, None] * unit,
+        GroupTag.N: np.eye(n) + scale * (unit - np.eye(n)),
+        GroupTag.Q: np.diag(signs * diag),
+    }
+    return n, p, members, (i, j)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_scaled_members())
+def test_membership_verdicts_hold_at_every_scale(case):
+    n, p, members, (i, j) = case
+    sig = Signature(p, n - p)
+    for tag, M in members.items():
+        assert is_member(M, tag, sig) is True, tag
+        # a strictly lower entry 1e-3 times the largest one leaves every set,
+        # and for Q it breaks dagger symmetry
+        bad = M.astype(complex)
+        bad[i, j] += 1e-3 * np.max(np.abs(M))
+        assert is_member(bad, tag, sig) is False, tag
 
 
 def test_clearly_wrong_determinant_rejected_at_any_scale():

@@ -14,6 +14,7 @@ from supq.errors import (
 from supq.kernel import (
     DEFAULT_TOL_EIG,
     EIG_SIZE_CAP,
+    _frobenius,
     as_cmatrix,
     as_cvector,
     eig,
@@ -132,6 +133,32 @@ def test_eig_size_cap():
         eig(np.eye(EIG_SIZE_CAP + 1))
 
 
+def test_eig_certifies_a_finite_residual_at_overflowing_scale():
+    M = np.array([[2e200, 1e200], [1e200, 3e200]])
+    with np.errstate(over="ignore"):
+        r = eig(M)
+        bound = DEFAULT_TOL_EIG * _frobenius(M)
+    assert np.isfinite(r.max_residual) and r.max_residual <= bound
+    np.testing.assert_allclose(r.values, np.linalg.eigvalsh(M)[::-1], rtol=1e-12)
+
+
+def test_frobenius_matches_numpy_and_rescales_only_an_overflowing_norm():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert _frobenius(A) == np.linalg.norm(A)
+    np.testing.assert_array_equal(_frobenius(A, axis=0), np.linalg.norm(A, axis=0))
+    big = A.copy()
+    big[:, 1] *= 1e300
+    big[:, 3] = 0.0
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(big, axis=0)
+        cols = _frobenius(big, axis=0)
+        assert _frobenius(big) == pytest.approx(np.linalg.norm(big / 1e300) * 1e300, rel=1e-14)
+        assert _frobenius(np.array([np.inf, 1.0])) == np.inf
+    assert np.isinf(plain[1]) and cols[1] == pytest.approx(1e300 * np.linalg.norm(A[:, 1]), rel=1e-14)
+    np.testing.assert_array_equal(np.delete(cols, 1), np.delete(plain, 1))  # the finite columns, zero included
+
+
 def test_eig_zero_residual_budget_rejected():
     # a generic matrix has a strictly positive residual, so tol_eig=0 must fail
     rng = np.random.default_rng(3)
@@ -191,6 +218,15 @@ def test_signed_ldl_keeps_unit_lower_structure():
 def test_signed_ldl_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         signed_ldl([[1, 1], [0, 1]])
+
+
+def test_signed_ldl_judges_symmetry_at_overflowing_scale():
+    with pytest.raises(NotHermitian), np.errstate(over="ignore"):
+        signed_ldl([[1e200, 5e199], [0, -1e200]])
+    with np.errstate(over="ignore"):
+        L, d = signed_ldl([[1e200, 5e199], [5e199, -1e200]])
+    np.testing.assert_allclose(d, [1e200, -1.25e200], rtol=1e-15)
+    np.testing.assert_allclose(L[1, 0], 0.5, rtol=1e-15)
 
 
 def test_signed_ldl_singular_minor_index():
