@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotTimelike
 from .groups import GroupTag, _require
-from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margin,
-                         _pairing, _quiet, _row_margins, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, EigenResult, as_cmatrix, eig
+from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
+                         _pairing, _sample_cones, _scaled, _sym)
+from .kernel import DEFAULT_TOL, EigenResult, _quiet, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
 #: defective eigenvalue splits numerically by about sqrt(eps), leaving each
@@ -161,18 +161,21 @@ def cone_preservation_check(
     Draws ``trials`` vectors, alternating timelike and null, as that run of
     ``sample_cone`` calls on ``default_rng(seed)`` would, in blocks of 1, 2,
     4, ... vectors, and returns False if an image ``s @ x`` fails to classify
-    as timelike, unless an image drawn before it overflows to Inf: that raises
-    NonFiniteInput.  A True verdict is probabilistic evidence, not a proof.
+    as timelike, unless an image drawn before it overflows to Inf or is zero:
+    that raises NonFiniteInput or ZeroVector.  A negative ``trials`` raises
+    ValueError.  A True verdict is probabilistic evidence, not a proof.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     s = _check_matrix(s, sig)
     rng = np.random.default_rng(seed)
     for k in range(int(trials).bit_length()):  # samples 2**k - 1 up to 2**(k+1) - 2
         block = range(2**k - 1, min(trials, 2 ** (k + 1) - 1))
         images = _sample_cones([ConeClass.NULL if i % 2 else ConeClass.TIMELIKE for i in block], sig, rng) @ s.T
-        ns, e2, normal = _row_margins(images, sig.p)
-        for y in images[~(normal & (ns > tol * e2))]:  # the rest are timelike without rescaling
-            if _classify(y, sig.p, tol) is not ConeClass.TIMELIKE:
-                return False
+        ns, e2, _ = _cone_margins(images, sig.p)
+        i = np.argmin((ns > tol * e2) & (e2 < np.inf))  # the first image not judged timelike, else 0
+        if _classify(ns[i], e2[i], tol) is not ConeClass.TIMELIKE:
+            return False
     return True
 
 
@@ -190,11 +193,11 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     """
     s = _check_matrix(s, sig)
     x = _check_vector(x, sig)
-    if _classify(x, sig.p, tol) is not ConeClass.TIMELIKE:
+    ns, e2, k = _cone_margins(x, sig.p)
+    if _classify(ns, e2, tol) is not ConeClass.TIMELIKE:
         raise NotTimelike("pseudo_rayleigh needs a timelike vector")
-    ns, _, k = _cone_margin(x, sig.p)
     x = _scaled(x, k) if k else x  # the quotient is invariant under scaling x
-    return _pairing(s @ x, x, sig.j_diag).real / ns
+    return _pairing(s @ x, x, sig.j_diag).real / float(ns)
 
 
 def leading_minors(s) -> np.ndarray:

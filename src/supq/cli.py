@@ -29,7 +29,7 @@ from . import docio
 from .admissible import check_admissible_an, check_admissible_q
 from .errors import MembershipError, NotDecomposable, NotInG0, ParseError, SupqError, ZeroVector
 from .groups import GroupTag, is_member
-from .indefinite import Signature, _cone_margin, classify
+from .indefinite import Signature, _classify, _cone_margins
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
 from .kernel import DEFAULT_TOL, _frobenius
 from .selftest import run_selftest
@@ -147,10 +147,8 @@ def cmd_classify(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile, allow_vector=True)
     if M.shape not in {(1, sig.n), (sig.n, 1)}:
         raise ParseError("classify needs a vector document (a 1 x n or n x 1 matrix)")
-    x = M.reshape(-1)
-    outputs = {"cone": classify(x, sig, args.tol).value, **echo}
-    ns, e2, _ = _cone_margin(x, sig.p)
-    return outputs, {"margin": ns / e2}
+    ns, e2, _ = _cone_margins(M.reshape(-1), sig.p)
+    return {"cone": _classify(ns, e2, args.tol).value, **echo}, {"margin": float(ns / e2)}
 
 
 def cmd_selftest(args) -> tuple[dict, dict]:

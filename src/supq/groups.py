@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
-from .indefinite import Signature, _check_matrix, _dagger, _quiet, dagger
-from .kernel import DEFAULT_TOL, _frobenius, mat_exp
+from .indefinite import Signature, _check_matrix, _dagger, dagger
+from .kernel import DEFAULT_TOL, _frobenius, _quiet, mat_exp
 
 
 class GroupTag(enum.Enum):
@@ -97,6 +97,7 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
 _NOT_IN = {GroupTag.G: NotInG, GroupTag.G0: NotInG0, GroupTag.Q: NotInQ, GroupTag.AN: NotInAN}
 
 
+@_quiet
 def _require(M, tag: GroupTag, sig: Signature, tol: float) -> np.ndarray:
     """The input guard of a membership-gated public call: ``M`` as a
     validated complex matrix in ``tag``'s set, else that set's

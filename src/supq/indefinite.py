@@ -3,6 +3,7 @@
 The sesquilinear pairing <x, y> = sum_{i<=p} x_i conj(y_i) - sum_{j>p} x_j conj(y_j),
 the induced dagger involution A -> J A* J, the timelike / null / spacelike
 cone trichotomy, and reproducible sampling from each cone component.
+Every cone verdict and margin comes from one scale-safe ``_cone_margins``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
-from .kernel import DEFAULT_TOL, as_cmatrix, as_cvector
-
-_quiet = np.errstate(over="ignore", invalid="ignore")  # for the calls that judge overflow themselves
+from .kernel import DEFAULT_TOL, _quiet, as_cmatrix, as_cvector
 
 
 @dataclass(frozen=True)
@@ -83,41 +82,32 @@ def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:
     return complex(np.sum(j * x * np.conj(y)))
 
 
-def _cone_margin(x: np.ndarray, p: int) -> tuple[float, float, int]:
-    """``(<y, y>, ||y||_2^2, k)`` for ``y = 2**-k x``, x already validated;
-    k is 0 unless the sums of squares of x overflow or leave the normal
-    range.  The power-of-two scaling is exact, so the pair gives x's cone
-    class and relative margin at any scale.  Raises NonFiniteInput for a
-    NaN or Inf entry."""
+def _cone_margins(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(<y, y>, ||y||_2^2, k)`` of each row ``y = 2**-k x`` of a vector or stack of
+    rows x, k = 0 unless the row's sum of squares overflows or leaves the normal
+    range.  The scaling is exact, so each pair gives its row's cone class and
+    relative margin at any scale; a NaN or Inf row gets a non-finite ``||y||^2``."""
     mags = x.real**2 + x.imag**2
-    e2, k = float(np.sum(mags)), 0
-    if not sys.float_info.min <= e2 < math.inf:
-        top = float(np.max(np.abs([x.real, x.imag]), initial=0.0))
-        if not math.isfinite(top):
-            raise NonFiniteInput("vector contains NaN or Inf entries")
-        k = math.frexp(top)[1]
-        y = _scaled(x, k)
+    e2 = mags.sum(axis=-1)
+    k = np.zeros(e2.shape, int)
+    normal = (e2 >= sys.float_info.min) & (e2 < math.inf)
+    if not normal.all():  # frexp gives a zero exponent to a zero, NaN or Inf peak
+        k = np.where(normal, k, np.frexp(np.maximum(abs(x.real), abs(x.imag)).max(axis=-1))[1])
+        y = _scaled(x, k[..., None])
         mags = y.real**2 + y.imag**2
-        e2 = float(np.sum(mags))
-    return float(np.sum(mags[:p]) - np.sum(mags[p:])), e2, k
+        e2 = mags.sum(axis=-1)
+    return mags[..., :p].sum(axis=-1) - mags[..., p:].sum(axis=-1), e2, k
 
 
-def _row_margins(Y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled (<y, y>, ||y||_2^2) of each row y of Y, and where they are :func:`_cone_margin`'s."""
-    mags = Y.real**2 + Y.imag**2
-    e2 = mags.sum(axis=1)
-    return mags[:, :p].sum(axis=1) - mags[:, p:].sum(axis=1), e2, (e2 >= sys.float_info.min) & (e2 < math.inf)
-
-
-def _scaled(x: np.ndarray, k: int) -> np.ndarray:
-    """``2**-k x``, exact while no entry leaves the normal range."""
+def _scaled(x: np.ndarray, k) -> np.ndarray:
+    """``2**-k x``, exact while no entry leaves the normal range; ``k`` broadcasts against x."""
     return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k)
 
 
 @_quiet
 def norm_sq(x, sig: Signature) -> float:
     """<x, x> as a real number: ||x[:p]||^2 - ||x[p:]||^2, ±inf if it overflows."""
-    ns, _, k = _cone_margin(_check_vector(x, sig), sig.p)
+    ns, _, k = _cone_margins(_check_vector(x, sig), sig.p)
     return float(np.ldexp(ns, 2 * k))
 
 
@@ -127,14 +117,16 @@ def classify(x, sig: Signature, tol: float = DEFAULT_TOL) -> ConeClass:
 
     The comparison is scale-relative: x is Null when
     ``|norm_sq(x)| <= tol * ||x||_2^2``, so the verdict does not change
-    under rescaling of x.
+    under rescaling of x, even where the squares of its entries overflow.
     """
-    return _classify(_check_vector(x, sig), sig.p, tol)
+    ns, e2, _ = _cone_margins(_check_vector(x, sig), sig.p)
+    return _classify(ns, e2, tol)
 
 
-def _classify(x: np.ndarray, p: int, tol: float) -> ConeClass:
-    """:func:`classify` of an already validated vector."""
-    ns, e2, _ = _cone_margin(x, p)
+def _classify(ns: float, e2: float, tol: float) -> ConeClass:
+    """:func:`classify` of a vector whose :func:`_cone_margins` pair is ``(ns, e2)``."""
+    if not math.isfinite(e2):
+        raise NonFiniteInput("vector contains NaN or Inf entries")
     if e2 == 0.0:
         raise ZeroVector("cannot classify the zero vector")
     if ns > tol * e2:
@@ -158,6 +150,7 @@ def _dagger(A: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (j[:, None] * A.conj().T) * j[None, :]
 
 
+@_quiet
 def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The symmetrization dagger(b) b of a validated or library-built n x n
     complex matrix.  A product that overflows raises the

@@ -27,8 +27,8 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
-from .indefinite import Signature, _cone_margin, _dagger, _quiet, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _signed_ldl, eig, mat_exp
+from .indefinite import Signature, _cone_margins, _dagger, _sym
+from .kernel import DEFAULT_TOL, _frobenius, _quiet, _signed_ldl, eig, mat_exp
 
 
 @dataclass
@@ -98,7 +98,9 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         r = R[:, k]
-        ns, e2, scale = _cone_margin(r, p)
+        ns, e2, scale = _cone_margins(r, p)
+        if not math.isfinite(e2):
+            raise NonFiniteInput("vector contains NaN or Inf entries")
         if abs(ns) <= tol * e2:
             raise NotDecomposable(
                 f"column {k + 1}: residual is null to tolerance (factorization boundary)",
@@ -112,7 +114,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
                 kind="wrong_cone",
             )
         try:
-            rk = math.ldexp(math.sqrt(abs(ns)), scale)
+            rk = math.ldexp(math.sqrt(abs(ns)), int(scale))
         except OverflowError:
             raise NonFiniteInput(f"column {k + 1}: b_kk overflows") from None
         B[k, k] = rk

@@ -40,6 +40,8 @@ DEFAULT_TOL_EIG = 1e-10
 #: Size cap for the dense eigensolver.
 EIG_SIZE_CAP = 32
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # for the calls that judge overflow themselves
+
 
 def as_cmatrix(A, square: bool = False) -> np.ndarray:
     """Validate ``A`` and return it as a dense complex128 matrix.
@@ -104,6 +106,7 @@ class EigenResult:
     max_residual: float
 
 
+@_quiet
 def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
     """Eigenpairs of a general (possibly defective) complex matrix.
 
@@ -144,6 +147,7 @@ def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
     return EigenResult(values=vals, vectors=vecs, max_residual=max_residual)
 
 
+@_quiet
 def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Unpivoted LDL* factorization of a Hermitian matrix.
 

@@ -11,10 +11,12 @@ from supq.admissible import (
     leading_minors,
     pseudo_rayleigh,
 )
-from supq.errors import DimensionMismatch, NonFiniteInput, NotInAN, NotInQ, NotTimelike
+from supq.errors import (DimensionMismatch, NonFiniteInput, NotHermitian, NotInAN, NotInQ, NotTimelike,
+                         ZeroVector)
 from supq.groups import random_g0
 from supq.indefinite import ConeClass, Signature, classify, dagger, norm_sq, sample_cone
-from supq.iwasawa import decompose_gs
+from supq.iwasawa import decompose_g_admissible, decompose_gauss, decompose_gs, dress, q_log, sym
+from supq.kernel import eig, signed_ldl
 from supq.selftest import random_admissible_q, random_nonadmissible_q, random_signature
 
 SIG11 = Signature(1, 1)
@@ -268,9 +270,44 @@ def test_cone_check_overflowing_image_before_a_violation_raises(seed):
 
 
 def test_check_admissible_q_refuses_a_non_member_at_overflowing_scale():
-    # the input guard still warns at this scale, unlike is_member
-    with pytest.raises(NotInQ), np.errstate(over="ignore"):
+    with pytest.raises(NotInQ):
         check_admissible_q([[1e200, 3e199], [0, 1e-200]], SIG11)
+
+
+def test_cone_check_refuses_a_zero_image():
+    with pytest.raises(ZeroVector):
+        cone_preservation_check(np.zeros((2, 2)), SIG11)
+
+
+def test_cone_check_refuses_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials"):
+        cone_preservation_check(np.eye(2), SIG11, trials=-3)
+    assert cone_preservation_check(np.eye(2), SIG11, trials=0)
+
+
+_NOT_Q = [[1e200, 3e199], [0, 1e-200]]  # the squares of these entries overflow
+_NOT_AN = [[1e200, 0], [5e199, 1e-200]]
+
+
+@pytest.mark.parametrize("call, raised", [
+    (lambda: check_admissible_q(_NOT_Q, SIG11), NotInQ),
+    (lambda: q_log(_NOT_Q, SIG11), NotInQ),
+    (lambda: sym(_NOT_AN, SIG11), NotInAN),
+    (lambda: check_admissible_an(_NOT_AN, SIG11), NotInAN),
+    (lambda: dress(_NOT_AN, np.eye(2), SIG11), NotInAN),
+    (lambda: decompose_gauss(_NOT_AN, SIG11), NonFiniteInput),
+    (lambda: decompose_g_admissible(_NOT_AN, SIG11), NonFiniteInput),
+    (lambda: eig([[2e200, 1e200], [1e200, 3e200]]), None),
+    (lambda: signed_ldl([[1e200, 5e199], [0, -1e200]]), NotHermitian),
+], ids=["check_admissible_q", "q_log", "sym", "check_admissible_an", "dress", "decompose_gauss",
+        "decompose_g_admissible", "eig", "signed_ldl"])
+def test_guards_judge_overflowing_inputs_without_warnings(call, raised):
+    # RuntimeWarning is an error in this suite: each guard returns or raises, and numpy stays quiet
+    if raised is None:
+        call()
+    else:
+        with pytest.raises(raised):
+            call()
 
 
 def test_library_calls_judge_overflow_without_warnings():

@@ -1,13 +1,18 @@
 """Signature geometry: pairing, dagger, cone trichotomy, cone sampling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supq.errors import DimensionMismatch, ZeroVector
 from supq.groups import random_g0
 from supq.indefinite import (
     ConeClass,
     Signature,
+    _cone_margins,
     classify,
     dagger,
     norm_sq,
@@ -124,6 +129,67 @@ def test_norm_sq_at_extreme_scales():
 def test_classify_rejects_zero():
     with pytest.raises(ZeroVector):
         classify([0, 0], SIG11)
+
+
+@st.composite
+def _row_stacks(draw):
+    """``(p, X)``: 1 to 6 complex rows of length n <= 8, each at its own scale
+    in [1e-300, 1e300], with zero entries, zero rows and rows whose relative
+    margin lies within 2e-9 of zero, across the default tolerance."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(1, n - 1))
+    rows = draw(st.integers(1, 6))
+    scales = 10.0 ** np.array([draw(st.floats(-300.0, 300.0)) for _ in range(rows)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    X[rng.uniform(size=X.shape) < 0.2] = 0.0
+    mags = X.real**2 + X.imag**2
+    pos, neg = mags[:, :p].sum(axis=1), mags[:, p:].sum(axis=1)
+    null = (rng.uniform(size=rows) < 0.3) & (pos > 0) & (neg > 0)
+    X[null, p:] *= np.sqrt(pos[null] / neg[null] * (1.0 - rng.uniform(-4e-9, 4e-9, null.sum())))[:, None]
+    X[rng.uniform(size=rows) < 0.1] = 0.0
+    return p, X * scales[:, None]
+
+
+def _exact_margin(x, p):
+    """(<x, x>, ||x||_2^2) in exact rational arithmetic over the float entries."""
+    squares = [Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in x]
+    return sum(squares[:p]) - sum(squares[p:]), sum(squares)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_row_stacks())
+def test_cone_margins_match_exact_arithmetic_at_every_scale(case):
+    p, X = case
+    n = X.shape[1]
+    sig, tol, slack = Signature(p, n - p), 1e-9, Fraction(4 * n * np.finfo(float).eps)
+    Y = np.vstack([X, X[:1]])
+    Y[-1, -1] = np.inf  # a row that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # the helper leaves this to its callers
+        stacked = _cone_margins(Y, p)
+        rows = [_cone_margins(y, p) for y in Y]
+    for i, single in enumerate(rows):  # NaN from the same operations has the same bits
+        assert [np.asarray(part[i]).tobytes() for part in stacked] == [np.asarray(part).tobytes() for part in single]
+    assert not np.isfinite(stacked[1][-1])
+    for x, (ns, e2, k) in zip(X, rows):
+        if not x.any():
+            assert e2 == 0.0
+            with pytest.raises(ZeroVector):
+                classify(x, sig, tol)
+            continue
+        exact_ns, exact_e2 = _exact_margin(x, p)
+        exact = exact_ns / exact_e2
+        assert abs(Fraction(ns / e2) - exact) <= slack
+        unscale = Fraction(4) ** int(k)  # y = 2**-k x
+        assert abs(Fraction(ns) * unscale - exact_ns) <= slack * exact_e2
+        assert abs(Fraction(e2) * unscale - exact_e2) <= slack * exact_e2
+        verdict = classify(x, sig, tol)
+        if exact > tol + slack:
+            assert verdict is ConeClass.TIMELIKE
+        elif exact < -tol - slack:
+            assert verdict is ConeClass.SPACELIKE
+        elif abs(exact) < tol - slack:
+            assert verdict is ConeClass.NULL
 
 
 # ---------------------------------------------------------------------------
