@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotTimelike
+from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
@@ -38,10 +38,12 @@ class AdmissibilityReport:
     """Outcome of an admissibility check.
 
     ``eigenvalues`` holds the full spectrum (descending).  When the spectrum
-    is real positive, ``timelike_values`` / ``spacelike_values`` list the
-    eigenvalues attached to timelike / spacelike eigenvectors (repeated
-    eigenvalues appear once per attached eigenvector).  ``margin`` is
-    min(timelike) - max(spacelike) when both families are present, else 0.
+    is real positive, ``timelike_values`` / ``spacelike_values`` list, in
+    descending order, the eigenvalues attached to timelike / spacelike
+    eigenvectors (repeated eigenvalues appear once per attached eigenvector);
+    a "null eigenvector" verdict carries the labels read before the null
+    direction.  ``margin`` is min(timelike) - max(spacelike) when both
+    families are present, else 0.
     """
 
     admissible: bool
@@ -60,23 +62,12 @@ def is_admissible_diag(d, sig: Signature) -> bool:
     return bool(v[: sig.p].min() > v[sig.p :].max())
 
 
-def _cluster_indices(lam: np.ndarray, tol: float) -> list[list[int]]:
-    """Group a descending real spectrum into near-degenerate clusters."""
-    clusters = [[0]]
-    for i in range(1, lam.size):
-        if lam[i - 1] - lam[i] <= tol * (1.0 + abs(lam[i])):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  Within
-    a near-degenerate cluster the eigenvectors are re-diagonalized against
-    the indefinite pairing (via the small Hermitian Gram matrix), so each
+    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  One
+    Hermitian Gram matrix of the indefinite pairing on all eigenvectors is
+    re-diagonalized per block of a near-degenerate cluster, so each
     eigenvalue is attached to pairing-definite directions; a pairing-null
     direction makes the element inadmissible with margin 0.  The null test
     compares the indefinite norm of each direction against
@@ -102,21 +93,24 @@ def _admissibility_report(result: EigenResult, sig: Signature, tol: float) -> Ad
     if np.any(lam <= tol):
         return AdmissibilityReport(False, vals, reason="nonpositive eigenvalues")
 
-    timelike: list[float] = []
-    spacelike: list[float] = []
-    for idx in _cluster_indices(lam, tol):
-        V = result.vectors[:, idx]
-        gram = V.conj().T @ (sig.j_diag[:, None] * V)
-        gamma, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        W = V @ U
-        wnorms = np.sum(W.real**2 + W.imag**2, axis=0)
-        value = float(lam[idx].mean())
-        for g, w2 in zip(gamma, wnorms):
-            if abs(g) <= max(tol, NULL_FLOOR) * w2:
-                return AdmissibilityReport(
-                    False, vals, timelike, spacelike, 0.0, "null eigenvector"
-                )
-            (timelike if g > 0 else spacelike).append(value)
+    # Clusters of near-equal eigenvalues are contiguous, so the masked pairing Gram is
+    # block-diagonal: LAPACK's Householder reduction keeps its zero blocks and its
+    # tridiagonal solver splits there, so each eigh direction lies in one block, named by
+    # its largest entry.  Directions are read in (cluster, ascending gamma) order.
+    cluster = np.concatenate(([0], np.cumsum(lam[:-1] - lam[1:] > tol * (1.0 + np.abs(lam[1:])))))
+    V = result.vectors
+    gram = np.where(cluster[:, None] == cluster, V.conj().T @ (sig.j_diag[:, None] * V), 0.0)
+    gamma, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    owner = cluster[np.argmax(np.abs(U), axis=0)]
+    order = np.argsort(owner, kind="stable")
+    gamma, W = gamma[order], V @ U[:, order]
+    values = (np.bincount(cluster, weights=lam) / np.bincount(cluster))[owner[order]]
+    null = np.abs(gamma) <= max(tol, NULL_FLOOR) * np.sum(W.real**2 + W.imag**2, axis=0)
+    read = int(np.argmax(null)) if null.any() else lam.size
+    timelike = values[:read][gamma[:read] > 0].tolist()
+    spacelike = values[:read][gamma[:read] <= 0].tolist()
+    if read < lam.size:
+        return AdmissibilityReport(False, vals, timelike, spacelike, 0.0, "null eigenvector")
 
     if len(timelike) != sig.p:
         return AdmissibilityReport(
@@ -200,8 +194,11 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     return _pairing(s @ x, x, sig.j_diag).real / float(ns)
 
 
+@_quiet
 def leading_minors(s) -> np.ndarray:
-    """All n leading principal minors det(s[:k, :k]), k = 1..n."""
+    """All n leading principal minors det(s[:k, :k]), k = 1..n; NonFiniteInput on overflow."""
     s = as_cmatrix(s, square=True)
-    n = s.shape[0]
-    return np.array([np.linalg.det(s[: k + 1, : k + 1]) for k in range(n)])
+    minors = np.array([np.linalg.det(s[: k + 1, : k + 1]) for k in range(s.shape[0])])
+    if not np.isfinite(minors).all():
+        raise NonFiniteInput("a leading minor overflows")
+    return minors

@@ -37,19 +37,20 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     actually be computed to: the LU determinant of a matrix with condition
     number kappa carries a relative error of order eps * kappa, so the
     acceptance window widens with conditioning (capped so that clearly
-    wrong determinants are still rejected)."""
+    wrong determinants are still rejected).  Every window is capped at 0.5,
+    because one that reaches 1 can no longer tell det = 1 from det = 0; at
+    the default tol the window is at most 1e-3."""
     miss = abs(np.linalg.det(M) - 1.0)
-    # The allowance below is never less than tol (numpy reports the cond of
-    # a finite singular matrix as inf, not NaN), so the SVD is needed only
-    # for a determinant outside the plain window.
-    if miss <= tol:
+    # The allowance below is never less than the plain window (numpy
+    # reports the cond of a finite singular matrix as inf, not NaN), so the
+    # SVD is needed only for a determinant outside it.
+    if miss <= min(tol, 0.5):
         return True
     try:
         cond = float(np.linalg.cond(M))
     except np.linalg.LinAlgError:
         cond = np.inf
-    allowance = tol * float(np.clip(cond, 1.0, 1e6))
-    return miss <= allowance
+    return miss <= min(tol * float(np.clip(cond, 1.0, 1e6)), 0.5)
 
 
 @_quiet

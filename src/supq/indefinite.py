@@ -72,9 +72,13 @@ def _check_matrix(M, sig: Signature, mismatch: type[SupqError] = DimensionMismat
     return A
 
 
+@_quiet
 def pairing(x, y, sig: Signature) -> complex:
-    """The indefinite pairing <x, y>, linear in x and conjugate-linear in y."""
-    return _pairing(_check_vector(x, sig), _check_vector(y, sig), sig.j_diag)
+    """The indefinite pairing <x, y>, linear in x and conjugate-linear in y; NonFiniteInput on overflow."""
+    value = _pairing(_check_vector(x, sig), _check_vector(y, sig), sig.j_diag)
+    if not np.isfinite(value):
+        raise NonFiniteInput("the pairing overflows")
+    return value
 
 
 def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:

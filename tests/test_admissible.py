@@ -14,7 +14,7 @@ from supq.admissible import (
 from supq.errors import (DimensionMismatch, NonFiniteInput, NotHermitian, NotInAN, NotInQ, NotTimelike,
                          ZeroVector)
 from supq.groups import random_g0
-from supq.indefinite import ConeClass, Signature, classify, dagger, norm_sq, sample_cone
+from supq.indefinite import ConeClass, Signature, classify, dagger, norm_sq, pairing, sample_cone
 from supq.iwasawa import decompose_g_admissible, decompose_gauss, decompose_gs, dress, q_log, sym
 from supq.kernel import eig, signed_ldl
 from supq.selftest import random_admissible_q, random_nonadmissible_q, random_signature
@@ -167,6 +167,36 @@ def test_conjugation_invariance_of_the_report():
         assert moved.margin == pytest.approx(base.margin, rel=1e-7)
 
 
+def test_degenerate_clusters_survive_conjugation():
+    # exponents drawn from {-1, 0, 1} repeat across timelike and spacelike axes, so
+    # conjugation leaves clusters that mix both kinds; the pairing still labels each
+    # direction as the exact exponents do
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        sig = random_signature(rng, 6)
+        d = rng.integers(-1, 2, sig.n).astype(float)
+        d -= d.mean()
+        g = random_g0(sig, int(rng.integers(2**32)), 0.8)
+        report = check_admissible_q(dagger(g, sig) @ np.diag(np.exp(d)) @ g, sig)
+        timelike, spacelike = np.sort(np.exp(d[: sig.p])), np.sort(np.exp(d[sig.p :]))
+        margin = timelike[0] - spacelike[-1]
+        assert report.admissible == (margin > 0)
+        assert report.margin == pytest.approx(margin, rel=1e-7)
+        assert sorted(report.timelike_values) == pytest.approx(timelike, rel=1e-7)
+        assert sorted(report.spacelike_values) == pytest.approx(spacelike, rel=1e-7)
+
+
+def test_null_direction_keeps_the_labels_read_before_it():
+    # the defective block [[2, 1], [-1, 0]] on a timelike and a spacelike axis has a
+    # null eigendirection; the eigenvalue 3 read before it stays labelled
+    s = np.diag([3.0, 1.0, 1.0, 1 / 3]).astype(complex)
+    s[1:3, 1:3] = [[2, 1], [-1, 0]]
+    report = check_admissible_q(s, Signature(2, 2))
+    assert report.reason == "null eigenvector"
+    assert report.timelike_values == [3.0]
+    assert report.spacelike_values == []
+
+
 # ---------------------------------------------------------------------------
 # triangular factors
 
@@ -299,8 +329,10 @@ _NOT_AN = [[1e200, 0], [5e199, 1e-200]]
     (lambda: decompose_g_admissible(_NOT_AN, SIG11), NonFiniteInput),
     (lambda: eig([[2e200, 1e200], [1e200, 3e200]]), None),
     (lambda: signed_ldl([[1e200, 5e199], [0, -1e200]]), NotHermitian),
+    (lambda: pairing([1e200, 0], [1e200, 0], SIG11), NonFiniteInput),
+    (lambda: leading_minors(np.diag([1e200, 1e200])), NonFiniteInput),
 ], ids=["check_admissible_q", "q_log", "sym", "check_admissible_an", "dress", "decompose_gauss",
-        "decompose_g_admissible", "eig", "signed_ldl"])
+        "decompose_g_admissible", "eig", "signed_ldl", "pairing", "leading_minors"])
 def test_guards_judge_overflowing_inputs_without_warnings(call, raised):
     # RuntimeWarning is an error in this suite: each guard returns or raises, and numpy stays quiet
     if raised is None:

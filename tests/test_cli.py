@@ -94,6 +94,13 @@ def test_decompose_non_unimodular_exits_3(tmp_path, capsys):
     assert rep["diagnostics"]["error_code"] == "invalid_input"
 
 
+def test_decompose_singular_matrix_at_a_wide_tolerance_exits_3(tmp_path, capsys):
+    path = _write_doc(tmp_path, "zero.json", np.zeros((2, 2)))
+    code, rep = _run_json(capsys, ["decompose", "--in", path, "--tol", "1e-6"])
+    assert code == 3
+    assert rep["diagnostics"]["error_code"] == "invalid_input"
+
+
 def test_decompose_at_zero_tolerance_exits_0(tmp_path, capsys):
     # J dagger(g) g is Hermitian only to roundoff; tol = 0 must not turn
     # that into an error

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supq.errors import DimensionMismatch
+from supq.errors import DimensionMismatch, NotInG
 from supq.groups import (
     AdmissibleDiagonal,
     GroupTag,
@@ -15,6 +15,7 @@ from supq.groups import (
     random_g0,
 )
 from supq.indefinite import ConeClass, Signature, dagger, sample_cone
+from supq.iwasawa import decompose_gs
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -62,6 +63,28 @@ def test_hyperbolic_rotation_in_g0():
 def test_determinant_gates_g():
     assert not is_member(2 * np.eye(2), GroupTag.G, SIG11)
     assert is_member(np.diag([2.0, 0.5]), GroupTag.G, SIG11)
+
+
+@pytest.mark.parametrize("M", [np.zeros((2, 2)), np.diag([1e-3, 0.0]), [[1, 2, 3], [1, 2, 3], [4, 5, 7]]],
+                         ids=["zero", "diag", "repeated_row"])
+def test_singular_matrix_is_not_in_g_at_a_wide_tolerance(M):
+    # at tol = 1e-6 the conditioning allowance would reach 1 and could not tell det = 1 from
+    # det = 0; the cap at 0.5 still can
+    sig = Signature(len(M) - 1, 1)
+    assert not is_member(M, GroupTag.G, sig, 1e-6)
+    with pytest.raises(NotInG):
+        decompose_gs(M, sig, 1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1.0, 10.0])
+def test_a_wider_tolerance_keeps_every_member(tol):
+    # the boost's LU determinant misses 1 by about 8e-6 (cond 4e12); capping the window
+    # keeps it, and the identity, a member at every tol
+    c = 1e6
+    boost = np.array([[c, np.sqrt(c * c - 1)], [np.sqrt(c * c - 1), c]])
+    assert is_member(boost, GroupTag.G, SIG11, tol)
+    assert is_member(boost, GroupTag.G0, SIG11, tol)
+    assert is_member(np.eye(2), GroupTag.G, SIG11, tol)
 
 
 def test_negative_diagonal_not_in_an():
