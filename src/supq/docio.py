@@ -10,13 +10,15 @@ Document schema::
 
 Every complex number is a two-element [re, im] array.  Floats are emitted
 with Python's shortest round-trip repr, so an emitted document re-parses to
-bit-identical values.  Vector-shaped documents (a 1 x n or n x 1 matrix)
-are accepted where a vector is expected.
+bit-identical values.  :func:`dumps` writes one compact line with json's C
+encoder; ``python -m json.tool`` indents it.  Vector-shaped documents (a
+1 x n or n x 1 matrix) are accepted where a vector is expected.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -41,6 +43,29 @@ def _as_complex(pair: Any, where: str) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ParseError(f"{where}: expected a [re, im] pair, got {pair!r}")
     return complex(_as_float(pair[0], where), _as_float(pair[1], where))
+
+
+def _grid_to_matrix(rows: list, shape: tuple[int, int]) -> np.ndarray:
+    """The complex matrix of a rectangular ``[re, im]`` grid of ``shape``.
+
+    Accepts exactly the grids that :func:`_as_complex` accepts entry by
+    entry, but checks the types of all entries at once and converts them in
+    one numpy call.  Only a refused grid is walked entry by entry, to name
+    its first bad entry."""
+    pairs = list(chain.from_iterable(rows))
+    if all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))) and set(map(len, pairs)) == {2}:
+        parts = list(chain.from_iterable(pairs))
+        if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, parts))):
+            try:
+                A = np.array(parts, dtype=np.float64)  # an int converts as float(int) does
+            except OverflowError:  # an int too large for a float
+                A = None
+            if A is not None and np.isfinite(A).all():
+                return A.view(np.complex128).reshape(shape)
+    for i, row in enumerate(rows):
+        for k, entry in enumerate(row):
+            _as_complex(entry, f"matrix[{i}][{k}]")
+    raise AssertionError("the walk accepted a grid the one-pass check refused")
 
 
 def parse_signature(obj: Any) -> Signature:
@@ -79,10 +104,7 @@ def parse_document(obj: Any, allow_vector: bool = False):
     vector_shapes = {(1, sig.n), (sig.n, 1)}
     if shape != expected and not (allow_vector and shape in vector_shapes):
         raise ParseError(f"matrix: shape {shape} does not match signature n={sig.n}")
-    M = np.empty(shape, dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for k, entry in enumerate(row):
-            M[i, k] = _as_complex(entry, f"matrix[{i}][{k}]")
+    M = _grid_to_matrix(rows, shape)
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError("label: expected a string")
@@ -117,10 +139,14 @@ def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    """Serialize a document or report; floats keep full round-trip precision.
-    A NaN or Inf value raises NonFiniteInput: :func:`load_document` could
-    not read it back."""
+    """Serialize a document or report as one compact line; floats keep full
+    round-trip precision.  A NaN or Inf value raises NonFiniteInput:
+    :func:`load_document` could not read it back."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteInput(str(exc)) from None
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        # json's C encoder does not name the value it refused; its pure-Python twin does
+        try:
+            return "".join(json.JSONEncoder(allow_nan=False).iterencode(obj))
+        except ValueError as exc:
+            raise NonFiniteInput(str(exc)) from None

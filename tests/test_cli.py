@@ -39,6 +39,7 @@ def _refuse_constant(name):
 def _run_json(capsys, argv):
     code = cli.main(argv + ["--json"])
     out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1  # one compact line
     return code, json.loads(out, parse_constant=_refuse_constant)
 
 
@@ -436,7 +437,7 @@ def test_json_report_refuses_a_non_finite_result(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert rep["success"] is False
     assert rep["diagnostics"]["error_code"] == "error"
-    assert "not JSON compliant" in rep["diagnostics"]["detail"]
+    assert rep["diagnostics"]["detail"] == "Out of range float values are not JSON compliant: inf"
     assert cli.main(["sym", "--in", path]) == 0
     assert capsys.readouterr().out.startswith("sym: ok\n  sym =\n[[inf+0.j")
 
