@@ -7,10 +7,14 @@ unique when it exists):
 * :func:`decompose_gs` runs modified Gram-Schmidt on the columns against
   the indefinite pairing, demanding a timelike residual on the first p
   columns and a spacelike one afterwards.
-* :func:`decompose_gauss` forms h = dagger(g) g, takes the unpivoted
-  signed LDL* of J h, and reads the triangular factor off the pivots.
-  The pivot sign pattern (+ for the first p, - for the rest) is exactly
-  the obstruction; a wrong sign raises :class:`~supq.errors.WrongInertia`.
+* :func:`decompose_gauss` forms h = dagger(g) g and factors J h as
+  dagger(b) J b by one blocked J-Cholesky (two LAPACK Choleskys), which is
+  the unpivoted signed LDL* of J h with the pivot signs J forces (+ for
+  the first p, - for the rest).  That sign pattern is exactly the
+  obstruction.  When the J-Cholesky does not certify its pivots, the
+  signed LDL* loop runs and names the refusal: a wrong sign raises
+  :class:`~supq.errors.WrongInertia`, a vanishing pivot
+  :class:`~supq.errors.SingularMinor`.
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -28,7 +32,7 @@ from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
 from .groups import GroupTag, _require
 from .indefinite import Signature, _cone_margins, _dagger, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _quiet, _signed_ldl, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _signed_ldl, eig, mat_exp
 
 
 @dataclass
@@ -139,8 +143,12 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     LDL* gives h = dagger(n) a^2 n with n = L* unit upper triangular and
     a_k = sqrt(|d_k|).  Existence demands d_k > 0 for k <= p and d_k < 0
     after, i.e. the running pivot products match the leading principal
-    minors of J h in the inertia forced by J.  Then b = diag(a) n, and
-    s = g b^{-1} is recovered and verified to be pseudo-unitary.
+    minors of J h in the inertia forced by J.  So the leading p x p block
+    of J h is positive definite and minus its Schur complement is too, and
+    b = diag(a) n comes from one blocked J-Cholesky: a Cholesky of each.
+    Its pivots a_k^2 are judged as the loop judges them; when one fails,
+    or a Cholesky does, the signed LDL* loop runs and names the refusal.
+    Then s = g b^{-1} is recovered and verified to be pseudo-unitary.
 
     Raises
     ------
@@ -161,14 +169,18 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     n, p = sig.n, sig.p
     j = sig.j_diag
     jh = j[:, None] * _sym(g, j)
-    L, d = _signed_ldl(jh, tol)
-    for k in range(n):
-        if (d[k] > 0) != (k < p):
-            raise WrongInertia(k + 1)
-    a = np.sqrt(np.abs(d))
-    n_factor = L.conj().T
-    b = a[:, None] * n_factor
-    # _signed_ldl certified every a_k > 0, so tol * ||b||_F must not re-judge
+    b = _j_cholesky(jh, p, tol)
+    if b is None:
+        # not certified: the loop names the refusal (or accepts at roundoff)
+        L, d = _signed_ldl(jh, tol)
+        for k in range(n):
+            if (d[k] > 0) != (k < p):
+                raise WrongInertia(k + 1)
+        b = np.sqrt(np.abs(d))[:, None] * L.conj().T
+    a = np.diagonal(b).real.copy()
+    n_factor = b / a[:, None]
+    np.fill_diagonal(n_factor, 1.0)
+    # the pivot test certified every a_k > 0, so tol * ||b||_F must not re-judge
     # a_k, and partial pivoting swaps no rows of this upper triangular b: the
     # LU inverse is a plain back-substitution.
     b_inv = np.linalg.inv(b)

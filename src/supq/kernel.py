@@ -1,17 +1,17 @@
 """Dense complex linear-algebra kernel.
 
 Input validation, the matrix exponential, eigenpairs, an *unpivoted*
-signed LDL* factorization, and triangular solves, all on numpy
-``complex128`` arrays.
-Everything here is signature-agnostic; the indefinite geometry lives in
+signed LDL* factorization and its blocked J-Cholesky form, and triangular
+solves, all on numpy ``complex128`` arrays.
+Apart from the J-Cholesky, which takes the number p of positive pivots,
+everything here is signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
 scipy is imported on the first call of :func:`mat_exp` or
 :func:`solve_upper_triangular`, not with the module: the decomposition,
 membership and admissibility paths run on numpy alone.
 
-Sizes are desk scale (the eigensolver is capped at n = 32), so
-the emphasis is on exact contracts and sharp failure modes, not throughput.
+Sizes are desk scale: the eigensolver is capped at n = 32.
 """
 
 from __future__ import annotations
@@ -192,13 +192,50 @@ def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         subtracted = (L[k, :k] * L[k, :k].conj() * d[:k]).real
         pivot = float(Hs[k, k].real - subtracted.sum())
         cancel = abs(Hs[k, k]) + float(np.abs(subtracted).sum())
-        if abs(pivot) <= tol * max(1.0, cancel):
+        if not _pivot_clears(pivot, cancel, tol):
             raise SingularMinor(k + 1)
         d[k] = pivot
         if k + 1 < n:
             col = Hs[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k].conj() * d[:k])
             L[k + 1 :, k] = col / pivot
     return L, d
+
+
+def _pivot_clears(pivot, cancel, tol: float):
+    """The pivot rule of :func:`signed_ldl` and :func:`_j_cholesky`, elementwise:
+    true where ``|pivot|`` exceeds ``tol`` times its cancellation scale, the
+    magnitudes whose difference produced it.  A NaN pivot does not clear it."""
+    return np.abs(pivot) > tol * np.maximum(1.0, cancel)
+
+
+def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
+    """The factor :func:`_signed_ldl` would give, by one blocked J-Cholesky.
+
+    For a square, finite complex128 ``H`` with Hermitian part
+    ``Hs = (H + H*) / 2``, returns the upper triangular ``b`` with positive
+    real diagonal and ``dagger(b) J b = Hs``, J = diag(+1 x p, -1 x (n - p)):
+    ``b = [[C1*, X], [0, C2*]]`` from the Choleskys ``C1 C1* = Hs11`` and
+    ``C2 C2* = X* X - Hs22`` with ``C1 X = Hs12`` (Higham, SIAM Rev. 45(3),
+    2003).  This is ``sqrt|d| L*`` of ``Hs = L diag(d) L*`` with the pivot
+    signs J forces, and the pivot ``|d_k| = b_kk^2`` has the cancellation
+    scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  Returns None unless both
+    Choleskys succeed and every pivot clears :func:`_pivot_clears`; the
+    caller then runs :func:`_signed_ldl`, which names the refusal.
+    """
+    Hs = 0.5 * (H + H.conj().T)
+    try:
+        C1 = np.linalg.cholesky(Hs[:p, :p])
+        X = np.linalg.solve(C1, Hs[:p, p:])
+        C2 = np.linalg.cholesky(X.conj().T @ X - Hs[p:, p:])
+    except np.linalg.LinAlgError:
+        return None
+    b = np.zeros_like(Hs)
+    b[:p, :p] = C1.conj().T
+    b[:p, p:] = X
+    b[p:, p:] = C2.conj().T
+    b2 = b.real**2 + b.imag**2
+    cancel = np.abs(np.diagonal(Hs)) + np.triu(b2, 1).sum(axis=0)
+    return b if _pivot_clears(np.diagonal(b2), cancel, tol).all() else None
 
 
 def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:

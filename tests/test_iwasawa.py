@@ -278,6 +278,63 @@ def test_gauss_at_zero_tolerance_reports_wrong_inertia():
     assert exc.value.index == pivot
 
 
+def _cell_crossed(sig, rng):
+    """A 2x2 block with |a| < |c| bridging a timelike and a spacelike index
+    (the construction of random_cell_crossed, at any size), between benign cosets."""
+    a = complex(0.7 * (rng.standard_normal() + 1j * rng.standard_normal()))
+    c = (abs(a) + 0.3 + abs(rng.standard_normal())) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    b = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    i0, j0 = int(rng.integers(0, sig.p)), int(rng.integers(sig.p, sig.n))
+    E = np.eye(sig.n, dtype=complex)
+    E[i0, i0], E[i0, j0], E[j0, i0], E[j0, j0] = a, b, c, (1.0 + b * c) / a
+    return random_g0(sig, rng, 0.5) @ E @ random_an(sig, rng, 0.5)
+
+
+def _loop_factor(jh, p, tol):
+    """The reference factor sqrt|d| L* of the signed LDL* loop, or the
+    (type, index) of the refusal that the loop and its inertia check name."""
+    try:
+        L, d = kernel._signed_ldl(jh, tol)
+    except SingularMinor as exc:
+        return None, (SingularMinor, exc.index)
+    wrong = np.flatnonzero((d > 0) != (np.arange(d.size) < p))
+    if wrong.size:
+        return None, (WrongInertia, int(wrong[0]) + 1)
+    return np.sqrt(np.abs(d))[:, None] * L.conj().T, None
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6, 1e-3])
+def test_j_cholesky_matches_the_signed_ldl_loop(tol):
+    # the blocked J-Cholesky accepts exactly what the loop accepts, with the
+    # same factor; on a refusal the Gauss route names the loop's refusal
+    rng = np.random.default_rng(1609)
+    draws = {
+        "decomposable": lambda sig: random_decomposable(sig, rng),
+        "cell_crossed": lambda sig: _cell_crossed(sig, rng),
+        "far": lambda sig: random_an(sig, rng, 1.0) @ random_g0(sig, rng, 8.0),
+    }
+    seen = set()
+    for n in range(2, 33):
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        for kind, draw in draws.items():
+            g = draw(sig)
+            jh = g.conj().T @ sig.J @ g
+            b = kernel._j_cholesky(jh, p, tol)
+            ref, refusal = _loop_factor(jh, p, tol)
+            assert (b is None) == (ref is None), (kind, n, p)
+            if ref is not None:
+                assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref), (kind, n, p)
+                seen.add("accepted")
+                continue
+            with pytest.raises(refusal[0]) as exc:
+                iwasawa._gauss(g, sig, tol)
+            assert exc.value.index == refusal[1], (kind, n, p)
+            seen.add(refusal[0])
+    # at tol = 0 only an exactly vanishing pivot is singular
+    assert seen == {"accepted", WrongInertia} | ({SingularMinor} if tol > 0 else set())
+
+
 def test_overflowing_gram_matrix_is_non_finite_input():
     # det(g) = 1, but the entries of dagger(g) g overflow to inf
     g = np.eye(2, dtype=complex)
@@ -339,14 +396,15 @@ def test_widely_scaled_triangular_element_is_its_own_factor():
 def test_unitary_check_reports_the_worst_column(monkeypatch):
     # scaling pivot 3 by 1.01 scales column 3 of s by 1/sqrt(1.01), which
     # leaves a defect of 1 - 1/1.01 in entry (3, 3) of dagger(s) s - I
-    real_ldl = iwasawa._signed_ldl
+    # (row 3 of b = sqrt|d| L* scales by sqrt(1.01))
+    real_j_cholesky = iwasawa._j_cholesky
 
-    def perturbed_ldl(H, tol):
-        L, d = real_ldl(H, tol)
-        d[2] *= 1.01
-        return L, d
+    def perturbed_j_cholesky(H, p, tol):
+        b = real_j_cholesky(H, p, tol)
+        b[2] *= np.sqrt(1.01)
+        return b
 
-    monkeypatch.setattr(iwasawa, "_signed_ldl", perturbed_ldl)
+    monkeypatch.setattr(iwasawa, "_j_cholesky", perturbed_j_cholesky)
     sig = Signature(2, 2)
     g = random_decomposable(sig, np.random.default_rng(61))
     with pytest.raises(NotDecomposable) as exc_info:
