@@ -190,7 +190,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     # widens with the conditioning of the triangular factor (capped well
     # below O(1)).  det(s) = det(g) / prod(a), prod(a) > 0: g's det window covers s.
     cond_b = _frobenius(b) * _frobenius(b_inv)
-    unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b**2), 1e-2)
+    unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b * cond_b), 1e-2)
     gram_defect = _dagger(s, j) @ s - np.eye(n)
     defect = _frobenius(gram_defect)
     window = unitary_tol * max(1.0, _frobenius(s))

@@ -204,8 +204,10 @@ def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def _pivot_clears(pivot, cancel, tol: float):
     """The pivot rule of :func:`signed_ldl` and :func:`_j_cholesky`, elementwise:
     true where ``|pivot|`` exceeds ``tol`` times its cancellation scale, the
-    magnitudes whose difference produced it.  A NaN pivot does not clear it."""
-    return np.abs(pivot) > tol * np.maximum(1.0, cancel)
+    magnitudes whose difference produced it.  The rule is relative, so it
+    gives the same verdict at every scale; a zero pivot (zero scale
+    included) and a NaN pivot do not clear it."""
+    return np.abs(pivot) > tol * cancel
 
 
 def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:

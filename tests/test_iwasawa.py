@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supq import admissible, groups, iwasawa, kernel
 from supq.admissible import check_admissible_an, check_admissible_q
@@ -391,6 +393,43 @@ def test_widely_scaled_triangular_element_is_its_own_factor():
     s, b, spectrum = decompose_g_admissible(g, SIG21)
     np.testing.assert_array_equal(b, g)
     np.testing.assert_allclose(spectrum, [1e5, 1e-1, 1e-4], rtol=1e-12)
+
+
+@st.composite
+def _unit_diagonals(draw):
+    """(p, q, a): an element a of A, n <= 8, whose entries' log10 reach +-100."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(1, n - 1))
+    e = np.array(draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+    e -= e.mean()
+    e *= min(1.0, 100.0 / max(np.abs(e).max(), 1.0))
+    return p, n - p, np.diag(10.0**e).astype(complex)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_unit_diagonals())
+def test_elements_of_a_are_their_own_factor_at_every_scale(case):
+    # A is closed under scaling, so g = I a is the factorization of each of
+    # its elements wherever its entries sit in the float range.  (The N
+    # factor is left out: with a large a_1 n_12 the pivots of dagger(b) J b
+    # cancel catastrophically in double precision.)
+    p, q, a = case
+    sig = Signature(p, q)
+    for pair in (decompose_gauss(a, sig), decompose_gs(a, sig)):
+        np.testing.assert_allclose(pair.s, np.eye(sig.n), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pair.b, a, rtol=1e-14, atol=0)
+    out = dress(a, np.eye(sig.n), sig)
+    np.testing.assert_allclose(out.g_prime, np.eye(sig.n), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.b_prime, a, rtol=1e-14, atol=0)
+
+
+def test_diagonal_at_the_square_root_of_the_float_range_is_its_own_factor():
+    # b_11^2 = 1e300, and cond(b)^2 = 1e600 overflows the unitary window's float arithmetic
+    for e in (5, 100, 150):
+        g = np.diag([10.0**e, 10.0**-e]).astype(complex)
+        for pair in (decompose_gauss(g, SIG11), decompose_gs(g, SIG11)):
+            np.testing.assert_array_equal(pair.b, g)
+        np.testing.assert_array_equal(dress(g, np.eye(2), SIG11).b_prime, g)
 
 
 def test_unitary_check_reports_the_worst_column(monkeypatch):
