@@ -8,13 +8,11 @@ unique when it exists):
   the indefinite pairing, demanding a timelike residual on the first p
   columns and a spacelike one afterwards.
 * :func:`decompose_gauss` forms h = dagger(g) g and factors J h as
-  dagger(b) J b by one blocked J-Cholesky (two LAPACK Choleskys), which is
-  the unpivoted signed LDL* of J h with the pivot signs J forces (+ for
-  the first p, - for the rest).  That sign pattern is exactly the
-  obstruction.  When the J-Cholesky does not certify its pivots, the
-  signed LDL* loop runs and names the refusal: a wrong sign raises
-  :class:`~supq.errors.WrongInertia`, a vanishing pivot
-  :class:`~supq.errors.SingularMinor`.
+  dagger(b) J b by a blocked J-Cholesky: the unpivoted signed LDL* of J h
+  with the pivot signs J forces (+ for the first p, - for the rest), which
+  are exactly the obstruction.  When it does not certify its pivots, the
+  signed LDL* loop names the refusal: a wrong sign raises
+  :class:`~supq.errors.WrongInertia`.
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -49,6 +47,14 @@ class DecompPair:
     a: np.ndarray
     n_factor: np.ndarray
     residual: float
+
+    @classmethod
+    def of(cls, g: np.ndarray, s: np.ndarray, b: np.ndarray) -> DecompPair:
+        """The pair (s, b) of ``g``, with b split as diag(a) @ n_factor."""
+        a = np.diagonal(b).real.copy()
+        n_factor = b / a[:, None]
+        np.fill_diagonal(n_factor, 1.0)
+        return cls(s=s, b=b, a=a, n_factor=n_factor, residual=_frobenius(g - s @ b))
 
 
 @dataclass
@@ -130,10 +136,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
             c = -c
         R[:, k + 1:] -= np.outer(r, c)
         B[k, k + 1:] = c
-    a = np.diagonal(B).real.copy()
-    n_factor = B / a[:, None]
-    np.fill_diagonal(n_factor, 1.0)
-    return DecompPair(s=R, b=B, a=a, n_factor=n_factor, residual=_frobenius(g - R @ B))
+    return DecompPair.of(g, R, B)
 
 
 def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
@@ -143,12 +146,11 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     LDL* gives h = dagger(n) a^2 n with n = L* unit upper triangular and
     a_k = sqrt(|d_k|).  Existence demands d_k > 0 for k <= p and d_k < 0
     after, i.e. the running pivot products match the leading principal
-    minors of J h in the inertia forced by J.  So the leading p x p block
-    of J h is positive definite and minus its Schur complement is too, and
-    b = diag(a) n comes from one blocked J-Cholesky: a Cholesky of each.
-    Its pivots a_k^2 are judged as the loop judges them; when one fails,
-    or a Cholesky does, the signed LDL* loop runs and names the refusal.
-    Then s = g b^{-1} is recovered and verified to be pseudo-unitary.
+    minors of J h in the inertia forced by J, so b = diag(a) n comes from
+    one Cholesky of the leading p x p block and one of minus its Schur
+    complement.  When that does not certify its pivots, the signed LDL*
+    loop names the refusal.  Then s = g b^{-1} is recovered and verified
+    to be pseudo-unitary.
 
     Raises
     ------
@@ -164,6 +166,7 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
 
 
+@_quiet
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     n, p = sig.n, sig.p
@@ -177,9 +180,6 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
             if (d[k] > 0) != (k < p):
                 raise WrongInertia(k + 1)
         b = np.sqrt(np.abs(d))[:, None] * L.conj().T
-    a = np.diagonal(b).real.copy()
-    n_factor = b / a[:, None]
-    np.fill_diagonal(n_factor, 1.0)
     # the pivot test certified every a_k > 0, so tol * ||b||_F must not re-judge
     # a_k, and partial pivoting swaps no rows of this upper triangular b: the
     # LU inverse is a plain back-substitution.
@@ -199,7 +199,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
             f"recovered factor failed the pseudo-unitarity check: defect {defect:.3e} > {window:.3e}",
             index=int(np.argmax(np.linalg.norm(gram_defect, axis=0))) + 1, kind="unitary_check",
         )
-    return DecompPair(s=s, b=b, a=a, n_factor=n_factor, residual=_frobenius(g - s @ b))
+    return DecompPair.of(g, s, b)
 
 
 def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:

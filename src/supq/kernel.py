@@ -211,18 +211,14 @@ def _pivot_clears(pivot, cancel, tol: float):
 
 
 def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
-    """The factor :func:`_signed_ldl` would give, by one blocked J-Cholesky.
-
-    For a square, finite complex128 ``H`` with Hermitian part
-    ``Hs = (H + H*) / 2``, returns the upper triangular ``b`` with positive
-    real diagonal and ``dagger(b) J b = Hs``, J = diag(+1 x p, -1 x (n - p)):
-    ``b = [[C1*, X], [0, C2*]]`` from the Choleskys ``C1 C1* = Hs11`` and
-    ``C2 C2* = X* X - Hs22`` with ``C1 X = Hs12`` (Higham, SIAM Rev. 45(3),
-    2003).  This is ``sqrt|d| L*`` of ``Hs = L diag(d) L*`` with the pivot
-    signs J forces, and the pivot ``|d_k| = b_kk^2`` has the cancellation
-    scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  Returns None unless both
-    Choleskys succeed and every pivot clears :func:`_pivot_clears`; the
-    caller then runs :func:`_signed_ldl`, which names the refusal.
+    """``sqrt|d| L*`` of :func:`_signed_ldl` on ``H`` when d > 0 exactly on
+    the first p pivots, by one blocked J-Cholesky (Higham, SIAM Rev. 45(3),
+    2003): ``b = [[C1*, X], [0, C2*]]`` with ``C1 C1* = Hs11``, ``C1 X =
+    Hs12`` and ``C2 C2* = X* X - Hs22``, Hs = (H + H*) / 2, so that
+    ``b* J b = Hs``.  Pivot k is ``b_kk^2`` with cancellation scale
+    ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both Choleskys succeed
+    and every pivot clears :func:`_pivot_clears`; :func:`_signed_ldl` then
+    names the refusal.
     """
     Hs = 0.5 * (H + H.conj().T)
     try:

@@ -432,6 +432,25 @@ def test_diagonal_at_the_square_root_of_the_float_range_is_its_own_factor():
         np.testing.assert_array_equal(dress(g, np.eye(2), SIG11).b_prime, g)
 
 
+def test_gauss_route_judges_overflow_without_warnings():
+    # columns scaled by up to 10^+-150: the signed LDL* loop's |L|^2 d can
+    # overflow where the J-Cholesky refused, and RuntimeWarning is an error here
+    rng = np.random.default_rng(1613)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        e = rng.uniform(-150, 150, n)
+        g = random_g0(sig, rng, 3.0) @ random_decomposable(sig, rng) @ np.diag(10.0 ** (e - e.mean()))
+        try:
+            decompose_gauss(g, sig)
+            outcomes.add("factored")
+        except (NonFiniteInput, NotDecomposable, NotInG) as exc:
+            outcomes.add(type(exc))
+    assert {"factored", SingularMinor} <= outcomes
+
+
 def test_unitary_check_reports_the_worst_column(monkeypatch):
     # scaling pivot 3 by 1.01 scales column 3 of s by 1/sqrt(1.01), which
     # leaves a defect of 1 - 1/1.01 in entry (3, 3) of dagger(s) s - I
