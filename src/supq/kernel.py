@@ -207,7 +207,7 @@ def _pivot_clears(pivot, cancel, tol: float):
     magnitudes whose difference produced it.  The rule is relative, so it
     gives the same verdict at every scale; a zero pivot (zero scale
     included) and a NaN pivot do not clear it."""
-    return np.abs(pivot) > tol * cancel
+    return abs(pivot) > tol * cancel
 
 
 def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
@@ -231,9 +231,9 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     b[:p, :p] = C1.conj().T
     b[:p, p:] = X
     b[p:, p:] = C2.conj().T
-    b2 = b.real**2 + b.imag**2
-    cancel = np.abs(np.diagonal(Hs)) + np.triu(b2, 1).sum(axis=0)
-    return b if _pivot_clears(np.diagonal(b2), cancel, tol).all() else None
+    pivot = np.diagonal(b).real ** 2
+    cancel = np.abs(np.diagonal(Hs).real) + (np.abs(b) ** 2).sum(axis=0) - pivot
+    return b if _pivot_clears(pivot, cancel, tol).all() else None
 
 
 def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
