@@ -7,9 +7,17 @@ carried by timelike eigenvectors and q values carried by spacelike ones,
 with min(timelike) > max(spacelike).  A triangular factor b is admissible
 exactly when its symmetrization dagger(b) b is.
 
-Also here: the Monte-Carlo cone-preservation check (admissible elements map
-the closed timelike cone minus the origin into the open timelike cone), the
-pseudo Rayleigh quotient, and leading principal minors.
+Both verdicts here try a certificate first: one Cholesky of a shifted
+Hermitian matrix ``H - t J`` (:func:`_shift_certificate`).  For
+admissibility it is the definite pencil ``J(s - cI) > 0`` at the midpoint
+c of the gap, with ``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman,
+*Indefinite Linear Algebra and Its Applications*, 2005); for cone
+preservation it is the strict S-lemma ``s* J s - tau J > 0`` (Polik and
+Terlaky, SIAM Rev. 49(3), 2007).  Only an element the certificate does not
+settle goes on to the heuristic that decides it otherwise: the labelling of
+eigenvectors by the pairing, or the Monte-Carlo cone sampler.
+
+Also here: the pseudo Rayleigh quotient and leading principal minors.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, EigenResult, _quiet, as_cmatrix, eig
+from .kernel import DEFAULT_TOL, EigenResult, _j_cholesky, _pivot_clears, _quiet, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
 #: defective eigenvalue splits numerically by about sqrt(eps), leaving each
@@ -65,30 +73,55 @@ def is_admissible_diag(d, sig: Signature) -> bool:
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  One
-    Hermitian Gram matrix of the indefinite pairing on all eigenvectors is
-    re-diagonalized per block of a near-degenerate cluster, so each
-    eigenvalue is attached to pairing-definite directions; a pairing-null
-    direction makes the element inadmissible with margin 0.  The null test
-    compares the indefinite norm of each direction against
-    ``max(tol, NULL_FLOOR)`` times its Euclidean norm, so that the noise
-    left by a defective (non-diagonalizable) element is reported as a null
-    direction rather than as a spurious spectral gap.
+    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  First
+    a certificate: with the real spectrum sorted descending, ``s`` is
+    admissible when the gap ``lambda_p - lambda_{p+1}`` exceeds ``tol *
+    lambda_p``, its midpoint c is positive, ``J(s - cI)`` passes one
+    Cholesky (:func:`_shift_certificate`) and the blocked J-Cholesky of
+    ``J s`` gives ``In(J s) = (p, q)``.  These tests are relative, so a
+    certified verdict does not depend on the scale of the entries.
+
+    An element without a certificate is labelled, and the labels give the
+    verdict and the reason: one Hermitian Gram matrix
+    of the indefinite pairing on all eigenvectors is re-diagonalized per
+    block of a near-degenerate cluster, so each eigenvalue is attached to
+    pairing-definite directions; a pairing-null direction makes the element
+    inadmissible with margin 0.  The null test compares the indefinite norm
+    of each direction against ``max(tol, NULL_FLOOR)`` times its Euclidean
+    norm, so that the noise left by a defective (non-diagonalizable) element
+    is reported as a null direction rather than as a spurious spectral gap.
 
     Raises
     ------
     NotInQ
         If ``s`` is not an n x n dagger-fixed matrix with unit determinant to tolerance.
     """
-    return _admissibility_report(eig(_require(s, GroupTag.Q, sig, tol)), sig, tol)
+    s = _require(s, GroupTag.Q, sig, tol)
+    return _admissibility_report(eig(s), s, sig, tol)
 
 
-def _admissibility_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
-    """:func:`check_admissible_q`'s verdict from ``eig`` of a validated or library-built Q element."""
+def _admissibility_report(
+    result: EigenResult, s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False
+) -> AdmissibilityReport:
+    """:func:`check_admissible_q`'s verdict from ``result = eig(s)`` of a validated or
+    library-built Q element s.  ``sylvester`` says that ``s = dagger(b) b``, so that
+    ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
     vals = result.values
-
     if np.any(np.abs(vals.imag) > tol * (1.0 + np.abs(vals.real))):
         return AdmissibilityReport(False, vals, reason="complex eigenvalues")
+    lam, p = vals.real, sig.p
+    lo, hi = float(lam[p]), float(lam[p - 1])
+    js = sig.j_diag[:, None] * s
+    if (lo + hi > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, tol)
+            and (sylvester or _j_cholesky(js, p, tol) is not None)):
+        return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
+    return _labelled_report(result, sig, tol)
+
+
+def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
+    """:func:`check_admissible_q`'s verdict on a spectrum real to ``tol``, from the
+    eigenvectors' pairing labels alone."""
+    vals = result.values
     lam = vals.real
     if np.any(lam <= tol):
         return AdmissibilityReport(False, vals, reason="nonpositive eigenvalues")
@@ -136,6 +169,9 @@ def _admissibility_report(result: EigenResult, sig: Signature, tol: float) -> Ad
 def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a triangular factor, via its symmetrization dagger(b) b.
 
+    Decided as by :func:`check_admissible_q`, except that ``In(J dagger(b) b) =
+    (p, q)`` needs no J-Cholesky: ``J dagger(b) b = b* J b`` (Sylvester's law).
+
     Raises
     ------
     NotInAN
@@ -143,25 +179,72 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
         unit determinant to tolerance.
     """
     b = _require(b, GroupTag.AN, sig, tol)
-    return _admissibility_report(eig(_sym(b, sig.j_diag)), sig, tol)
+    h = _sym(b, sig.j_diag)
+    return _admissibility_report(eig(h), h, sig, tol, sylvester=True)
+
+
+@_quiet
+def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:
+    """True when ``A = H - t J``, ``t = (lo + hi) / 2``, passes one Cholesky whose
+    every pivot clears :func:`~supq.kernel._pivot_clears` against the cancellation
+    scale ``|H_kk| + |t| + sum_{i<k} |L_ki|^2``, the magnitudes before the shift:
+    then A is positive definite with each pivot's sign determined, at every scale.
+    H is Hermitian to roundoff or to ``tol``; the Cholesky reads its lower triangle."""
+    t = 0.5 * (lo + hi)
+    A = H - t * J
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    pivot = np.diagonal(L).real ** 2
+    a = np.diagonal(A).real  # a_kk = pivot_k + sum_{i<k} |L_ki|^2
+    return bool(_pivot_clears(pivot, np.abs(np.diagonal(H).real) + abs(t) + (a - pivot), tol).all())
 
 
 @_quiet
 def cone_preservation_check(
     s, sig: Signature, trials: int = 1000, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> bool:
-    """Monte-Carlo necessary condition for admissibility.
+    """Whether ``s`` maps the closed timelike cone minus 0 into the open one:
+    every image of a timelike or null ``x`` classifies as timelike.
 
-    Draws ``trials`` vectors, alternating timelike and null, as that run of
-    ``sample_cone`` calls on ``default_rng(seed)`` would, in blocks of 1, 2,
-    4, ... vectors, and returns False if an image ``s @ x`` fails to classify
-    as timelike, unless an image drawn before it overflows to Inf or is zero:
-    that raises NonFiniteInput or ZeroVector.  A negative ``trials`` raises
-    ValueError.  A True verdict is probabilistic evidence, not a proof.
+    First a certificate, the strict S-lemma: with ``M = s* (J - tol I) s``
+    finite and ``tau`` the midpoint of ``(max(0, w_{p+1}), w_p)`` of the
+    sorted real spectrum w of ``J M``, a Cholesky of ``M - tau J``
+    (:func:`_shift_certificate`) proves ``<y, y> > tol ||y||^2`` for every
+    such image y, and the call returns True.
+
+    Otherwise it searches: it draws ``trials`` vectors, alternating timelike
+    and null, as that run of ``sample_cone`` calls on ``default_rng(seed)``
+    would, in blocks of 1, 2, 4, ... vectors, and returns False if an image
+    ``s @ x`` fails to classify as timelike, unless an image drawn before it
+    overflows to Inf or is zero: that raises NonFiniteInput or ZeroVector.
+    A True verdict of the search is probabilistic evidence, not a proof.  A
+    negative ``trials`` raises ValueError.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     s = _check_matrix(s, sig)
+    return _cone_certificate(s, sig, tol) or _cone_search(s, sig, trials, seed, tol)
+
+
+def _cone_certificate(s: np.ndarray, sig: Signature, tol: float) -> bool:
+    """The S-lemma certificate of :func:`cone_preservation_check` for a validated ``s``."""
+    j = sig.j_diag
+    M = s.conj().T @ ((j - tol)[:, None] * s)
+    if not np.isfinite(M).all():
+        return False
+    try:
+        w = np.sort(np.linalg.eigvals(j[:, None] * M).real)
+    except np.linalg.LinAlgError:
+        return False
+    lo, hi = max(0.0, float(w[sig.q - 1])), float(w[sig.q])  # w ascending: w_{p+1}, w_p
+    return lo < hi and _shift_certificate(M, sig.J, lo, hi, tol)
+
+
+@_quiet
+def _cone_search(s: np.ndarray, sig: Signature, trials: int, seed: int, tol: float) -> bool:
+    """The Monte-Carlo search of :func:`cone_preservation_check` for a validated ``s``."""
     rng = np.random.default_rng(seed)
     for k in range(int(trials).bit_length()):  # samples 2**k - 1 up to 2**(k+1) - 2
         block = range(2**k - 1, min(trials, 2 ** (k + 1) - 1))

@@ -237,7 +237,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     s = _require(s, GroupTag.Q, sig, tol)
     result = eig(s)
-    report = _admissibility_report(result, sig, tol)
+    report = _admissibility_report(result, s, sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
     V = result.vectors
@@ -271,7 +271,8 @@ def decompose_g_admissible(
         If the triangular factor fails the admissibility check.
     """
     pair = decompose_gauss(g, sig, tol)
-    report = _admissibility_report(eig(_sym(pair.b, sig.j_diag)), sig, tol)
+    h = _sym(pair.b, sig.j_diag)
+    report = _admissibility_report(eig(h), h, sig, tol, sylvester=True)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
     spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))

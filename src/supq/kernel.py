@@ -188,13 +188,15 @@ def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Hs = 0.5 * (H + H.conj().T)
     L = np.eye(n, dtype=np.complex128)
     d = np.zeros(n)
+    root = np.zeros(n)  # sqrt|d|: the mass |L_ki|^2 |d_i| is squared only after scaling, as |b_ik|^2
     for k in range(n):
-        subtracted = (L[k, :k] * L[k, :k].conj() * d[:k]).real
+        scaled = np.abs(L[k, :k]) * root[:k]
+        subtracted = np.copysign(scaled * scaled, d[:k])
         pivot = float(Hs[k, k].real - subtracted.sum())
         cancel = abs(Hs[k, k]) + float(np.abs(subtracted).sum())
         if not _pivot_clears(pivot, cancel, tol):
             raise SingularMinor(k + 1)
-        d[k] = pivot
+        d[k], root[k] = pivot, math.sqrt(abs(pivot))
         if k + 1 < n:
             col = Hs[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k].conj() * d[:k])
             L[k + 1 :, k] = col / pivot

@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admissible import check_admissible_an, check_admissible_q, cone_preservation_check, leading_minors
+from .admissible import _cone_search, check_admissible_an, check_admissible_q, cone_preservation_check, leading_minors
 from .errors import NotDecomposable, SupqError
 from .groups import random_admissible_diag, random_an, random_g0
 from .indefinite import ConeClass, Signature, _cone_margins, _sample_cones, dagger
 from .iwasawa import decompose_gauss, decompose_gs, dress, q_log
-from .kernel import _frobenius, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, eig, mat_exp
 from .su11 import Sl2Element, Su11ANElement, Su11QElement, su11_an_admissible, su11_decompose, su11_q_admissible
 
 _SIG11 = Signature(1, 1)
@@ -260,21 +260,25 @@ def suite_multiplicativity(n_max: int = 6, trials: int = 1000, seed: int = 42) -
 def suite_cone_characterization(n_max: int = 6, forward: int = 100, converse: int = 100,
                                 forward_samples: int = 1000, converse_samples: int = 10000,
                                 min_found: int = 95, seed: int = 42) -> SuiteResult:
-    """Admissible elements pass the Monte-Carlo cone check (timelike and null
-    samples); strict gap violations are caught, with at least ``min_found``
-    of the ``converse`` constructed counterexamples detected."""
+    """Admissible elements pass the cone check (timelike and null samples);
+    strict gap violations are caught, with at least ``min_found`` of the
+    ``converse`` constructed counterexamples detected.  A forward trial also
+    runs the check's Monte-Carlo search on the same draws, an oracle
+    independent of its certificate, and fails if either refuses."""
 
-    def violations(generate, samples):
+    def violations(generate, samples, oracle):
         def trial(rng):
             sig = random_signature(rng, n_max)
             s = generate(sig, rng)
-            return (not cone_preservation_check(s, sig, samples, int(rng.integers(2**32))),), None
+            draws = int(rng.integers(2**32))
+            found = not cone_preservation_check(s, sig, samples, draws)
+            return (found or (oracle and not _cone_search(s, sig, samples, draws, DEFAULT_TOL)),), None
         return trial
 
     fwd = _run_trials("cone_characterization", 4, seed, forward,
-                      violations(random_admissible_q, forward_samples), sum, "forward failures")
+                      violations(random_admissible_q, forward_samples, True), sum, "forward failures")
     conv = _run_trials("cone_characterization", 5, seed, converse,
-                       violations(random_nonadmissible_q, converse_samples), sum, "found")
+                       violations(random_nonadmissible_q, converse_samples, False), sum, "found")
     failed, found = int(fwd.worst), int(conv.worst)
     errors = [r.detail for r in (fwd, conv) if not r.passed]
     summary = (f"{failed} forward failures; violations found in {found}/{converse} constructed gap "

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supq import admissible, groups, iwasawa, kernel
-from supq.admissible import check_admissible_an, check_admissible_q
+from supq.admissible import check_admissible_an, check_admissible_q, is_admissible_diag
 from supq.errors import (
     NoConvergence,
     NonFiniteInput,
@@ -421,6 +421,19 @@ def test_elements_of_a_are_their_own_factor_at_every_scale(case):
     out = dress(a, np.eye(sig.n), sig)
     np.testing.assert_allclose(out.g_prime, np.eye(sig.n), rtol=0, atol=1e-14)
     np.testing.assert_allclose(out.b_prime, a, rtol=1e-14, atol=0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_unit_diagonals())
+def test_elements_of_a_are_admissible_exactly_when_their_exponents_are(case):
+    # the certificate's tests are relative, so the verdict of a diagonal element of A,
+    # as a dagger-fixed element and as a triangular factor, is its exponents' verdict
+    # wherever its entries sit in the float range
+    p, q, a = case
+    sig = Signature(p, q)
+    expected = is_admissible_diag(np.log(np.diagonal(a).real), sig)
+    assert check_admissible_q(a, sig).admissible == expected
+    assert check_admissible_an(a, sig).admissible == expected
 
 
 def test_diagonal_at_the_square_root_of_the_float_range_is_its_own_factor():

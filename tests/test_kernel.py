@@ -248,6 +248,13 @@ def test_signed_ldl_small_but_accurate_pivot_is_kept():
     np.testing.assert_allclose(d, [big, 1.0 / big], rtol=1e-15)
 
 
+def test_signed_ldl_subtracted_mass_does_not_overflow():
+    # L_21 = 1e160, so |L_21|^2 overflows, but |L_21|^2 |d_1| = (1e160 * 1e-150)^2 = 1e20 does not
+    L, d = signed_ldl([[1e-300, 1e-140], [1e-140, -1]])
+    np.testing.assert_allclose(d, [1e-300, -1e20], rtol=1e-15)
+    np.testing.assert_allclose(L[1, 0], 1e160, rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # triangular solve
 
