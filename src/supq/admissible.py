@@ -74,12 +74,13 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     """Admissibility of a dagger-fixed matrix.
 
     Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  First
-    a certificate: with the real spectrum sorted descending, ``s`` is
-    admissible when the gap ``lambda_p - lambda_{p+1}`` exceeds ``tol *
-    lambda_p``, its midpoint c is positive, ``J(s - cI)`` passes one
+    a certificate: with the real spectrum sorted descending and positive as
+    computed, ``s`` is admissible when the gap ``lambda_p - lambda_{p+1}``
+    exceeds ``tol * lambda_p``, ``J(s - cI)`` at its midpoint c passes one
     Cholesky (:func:`_shift_certificate`) and the blocked J-Cholesky of
     ``J s`` gives ``In(J s) = (p, q)``.  These tests are relative, so a
-    certified verdict does not depend on the scale of the entries.
+    certified verdict does not depend on the scale of the entries, as far as
+    the eigensolver resolves the smallest eigenvalue.
 
     An element without a certificate is labelled, and the labels give the
     verdict and the reason: one Hermitian Gram matrix
@@ -112,7 +113,7 @@ def _admissibility_report(
     lam, p = vals.real, sig.p
     lo, hi = float(lam[p]), float(lam[p - 1])
     js = sig.j_diag[:, None] * s
-    if (lo + hi > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, tol)
+    if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, tol)
             and (sylvester or _j_cholesky(js, p, tol) is not None)):
         return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
     return _labelled_report(result, sig, tol)

@@ -220,6 +220,7 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     return DressResult(g_prime=pair.s, b_prime=pair.b, residual=pair.residual)
 
 
+@_quiet
 def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Logarithm of an admissible dagger-fixed matrix.
 

@@ -9,7 +9,8 @@ from supq.admissible import (_admissibility_report, _cone_certificate, _cone_sea
                              _shift_certificate, check_admissible_q, cone_preservation_check)
 from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
-from supq.iwasawa import sym
+from supq.errors import NotAdmissible
+from supq.iwasawa import q_log, sym
 from supq.kernel import DEFAULT_TOL, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
 
@@ -58,6 +59,16 @@ def test_widely_scaled_diagonal_is_certified_in_one_orientation_only():
     report = check_admissible_q(np.diag([1e-10, 1e10]), Signature(1, 1))
     assert not report.admissible
     assert report.reason == "nonpositive eigenvalues"
+
+
+def test_q_log_of_a_widely_scaled_diagonal():
+    # certified up to where the eigensolver resolves the small eigenvalue; the
+    # reconstruction check's norm overflows past 1e154 and stays quiet
+    for e in (10, 100, 200):
+        X = q_log(np.diag([10.0**e, 10.0**-e]), Signature(1, 1))
+        np.testing.assert_allclose(np.diagonal(X).real, [e * np.log(10), -e * np.log(10)], rtol=1e-14)
+    with pytest.raises(NotAdmissible, match="nonpositive eigenvalues"):
+        q_log(np.diag([1e250, 1e-250]), Signature(1, 1))  # eig returns 0 for 1e-250
 
 
 def _near_boundary_q(sig, rng, gap):
