@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, EigenResult, _j_cholesky, _pivot_clears, _quiet, as_cmatrix, eig
+from .kernel import DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, as_cmatrix, eig
 
 #: Floor for the relative "eigendirection is pairing-null" threshold.  A
 #: defective eigenvalue splits numerically by about sqrt(eps), leaving each
@@ -70,6 +70,7 @@ def is_admissible_diag(d, sig: Signature) -> bool:
     return bool(v[: sig.p].min() > v[sig.p :].max())
 
 
+@_quiet
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
@@ -167,6 +168,7 @@ def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> Admissi
     )
 
 
+@_quiet
 def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a triangular factor, via its symmetrization dagger(b) b.
 
@@ -184,22 +186,13 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     return _admissibility_report(eig(h), h, sig, tol, sylvester=True)
 
 
-@_quiet
 def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:
-    """True when ``A = H - t J``, ``t = (lo + hi) / 2``, passes one Cholesky whose
-    every pivot clears :func:`~supq.kernel._pivot_clears` against the cancellation
-    scale ``|H_kk| + |t| + sum_{i<k} |L_ki|^2``, the magnitudes before the shift:
-    then A is positive definite with each pivot's sign determined, at every scale.
-    H is Hermitian to roundoff or to ``tol``; the Cholesky reads its lower triangle."""
+    """True when ``A = H - t J``, ``t = (lo + hi) / 2``, is :func:`~supq.kernel._definite`
+    at the magnitudes before the shift, the scale ``|H_kk| + |t|``: then A is positive
+    definite with each pivot's sign determined, at every scale.  H is Hermitian to
+    roundoff or to ``tol``; the Cholesky reads its lower triangle."""
     t = 0.5 * (lo + hi)
-    A = H - t * J
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return False
-    pivot = np.diagonal(L).real ** 2
-    a = np.diagonal(A).real  # a_kk = pivot_k + sum_{i<k} |L_ki|^2
-    return bool(_pivot_clears(pivot, np.abs(np.diagonal(H).real) + abs(t) + (a - pivot), tol).all())
+    return _definite(H - t * J, abs(H.diagonal().real) + abs(t), tol) is not None
 
 
 @_quiet
@@ -221,10 +214,11 @@ def cone_preservation_check(
     ``s @ x`` fails to classify as timelike, unless an image drawn before it
     overflows to Inf or is zero: that raises NonFiniteInput or ZeroVector.
     A True verdict of the search is probabilistic evidence, not a proof.  A
-    negative ``trials`` raises ValueError.
+    ``trials`` below 1 raises ValueError: a search without a draw would
+    return True on no evidence.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     s = _check_matrix(s, sig)
     return _cone_certificate(s, sig, tol) or _cone_search(s, sig, trials, seed, tol)
 
@@ -243,7 +237,6 @@ def _cone_certificate(s: np.ndarray, sig: Signature, tol: float) -> bool:
     return lo < hi and _shift_certificate(M, sig.J, lo, hi, tol)
 
 
-@_quiet
 def _cone_search(s: np.ndarray, sig: Signature, trials: int, seed: int, tol: float) -> bool:
     """The Monte-Carlo search of :func:`cone_preservation_check` for a validated ``s``."""
     rng = np.random.default_rng(seed)

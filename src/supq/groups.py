@@ -98,7 +98,6 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
 _NOT_IN = {GroupTag.G: NotInG, GroupTag.G0: NotInG0, GroupTag.Q: NotInQ, GroupTag.AN: NotInAN}
 
 
-@_quiet
 def _require(M, tag: GroupTag, sig: Signature, tol: float) -> np.ndarray:
     """The input guard of a membership-gated public call: ``M`` as a
     validated complex matrix in ``tag``'s set, else that set's

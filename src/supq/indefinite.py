@@ -154,7 +154,6 @@ def _dagger(A: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (j[:, None] * A.conj().T) * j[None, :]
 
 
-@_quiet
 def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The symmetrization dagger(b) b of a validated or library-built n x n
     complex matrix.  A product that overflows raises the

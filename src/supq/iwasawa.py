@@ -67,6 +67,7 @@ class DressResult:
     residual: float
 
 
+@_quiet
 def sym(b, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetrization dagger(b) b of a triangular factor.
 
@@ -139,6 +140,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     return DecompPair.of(g, R, B)
 
 
+@_quiet
 def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     """Factor g = s b through the triangular factorization of dagger(g) g.
 
@@ -166,7 +168,6 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
 
 
-@_quiet
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     n, p = sig.n, sig.p
@@ -202,6 +203,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     return DecompPair.of(g, s, b)
 
 
+@_quiet
 def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     """Right dressing action: factor b g = g_prime b_prime.
 
@@ -252,6 +254,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     return X
 
 
+@_quiet
 def decompose_g_admissible(
     g, sig: Signature, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

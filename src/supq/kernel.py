@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernel.
 
 Input validation, the matrix exponential, eigenpairs, an *unpivoted*
-signed LDL* factorization and its blocked J-Cholesky form, and triangular
+signed LDL* factorization, the certified Cholesky that its blocked
+J-Cholesky form and the admissibility certificates share, and triangular
 solves, all on numpy ``complex128`` arrays.
 Apart from the J-Cholesky, which takes the number p of positive pivots,
 everything here is signature-agnostic; the indefinite geometry lives in
@@ -40,7 +41,7 @@ DEFAULT_TOL_EIG = 1e-10
 #: Size cap for the dense eigensolver.
 EIG_SIZE_CAP = 32
 
-_quiet = np.errstate(over="ignore", invalid="ignore")  # for the calls that judge overflow themselves
+_quiet = np.errstate(over="ignore", invalid="ignore")  # entered by each public call that judges overflow itself
 
 
 def as_cmatrix(A, square: bool = False) -> np.ndarray:
@@ -204,7 +205,7 @@ def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pivot_clears(pivot, cancel, tol: float):
-    """The pivot rule of :func:`signed_ldl` and :func:`_j_cholesky`, elementwise:
+    """The pivot rule of :func:`signed_ldl` and :func:`_definite`, elementwise:
     true where ``|pivot|`` exceeds ``tol`` times its cancellation scale, the
     magnitudes whose difference produced it.  The rule is relative, so it
     gives the same verdict at every scale; a zero pivot (zero scale
@@ -212,30 +213,45 @@ def _pivot_clears(pivot, cancel, tol: float):
     return abs(pivot) > tol * cancel
 
 
+def _definite(A: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray | None:
+    """The library's one certified Cholesky: the factor L of a Hermitian ``A``
+    (lower triangle read) when every pivot ``L_kk^2`` clears :func:`_pivot_clears`
+    against ``scale_k + sum_{i<k} |L_ki|^2``, with ``scale_k`` the magnitudes that
+    formed ``A_kk`` and the sum read off ``A_kk = L_kk^2 + sum_{i<k} |L_ki|^2``;
+    else None."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    pivot = L.diagonal().real ** 2
+    return L if _pivot_clears(pivot, scale + (A.diagonal().real - pivot), tol).all() else None
+
+
 def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     """``sqrt|d| L*`` of :func:`_signed_ldl` on ``H`` when d > 0 exactly on
     the first p pivots, by one blocked J-Cholesky (Higham, SIAM Rev. 45(3),
     2003): ``b = [[C1*, X], [0, C2*]]`` with ``C1 C1* = Hs11``, ``C1 X =
     Hs12`` and ``C2 C2* = X* X - Hs22``, Hs = (H + H*) / 2, so that
-    ``b* J b = Hs``.  Pivot k is ``b_kk^2`` with cancellation scale
-    ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both Choleskys succeed
-    and every pivot clears :func:`_pivot_clears`; :func:`_signed_ldl` then
-    names the refusal.
+    ``b* J b = Hs``.  Both blocks are :func:`_definite`, with scales
+    ``|Hs_kk|`` and ``|Hs_kk| + (X* X)_kk``, so pivot k is ``b_kk^2`` with
+    cancellation scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both
+    certify; :func:`_signed_ldl` then names the refusal.
     """
     Hs = 0.5 * (H + H.conj().T)
-    try:
-        C1 = np.linalg.cholesky(Hs[:p, :p])
-        X = np.linalg.solve(C1, Hs[:p, p:])
-        C2 = np.linalg.cholesky(X.conj().T @ X - Hs[p:, p:])
-    except np.linalg.LinAlgError:
+    h = abs(Hs.diagonal().real)
+    C1 = _definite(Hs[:p, :p], h[:p], tol)
+    if C1 is None:
+        return None
+    X = np.linalg.solve(C1, Hs[:p, p:])
+    XX = X.conj().T @ X
+    C2 = _definite(XX - Hs[p:, p:], h[p:] + XX.diagonal().real, tol)
+    if C2 is None:
         return None
     b = np.zeros_like(Hs)
     b[:p, :p] = C1.conj().T
     b[:p, p:] = X
     b[p:, p:] = C2.conj().T
-    pivot = np.diagonal(b).real ** 2
-    cancel = np.abs(np.diagonal(Hs).real) + (np.abs(b) ** 2).sum(axis=0) - pivot
-    return b if _pivot_clears(pivot, cancel, tol).all() else None
+    return b
 
 
 def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Exact 2x2 case (signature (1, 1)) in closed form.
 
 For g = [[a, b], [c, d]] in SL(2, C), the factorization into SU(1,1) times
-the triangular subgroup exists iff |a| > |c|.  With delta = sqrt(|a|^2 - |c|^2):
+the triangular subgroup exists iff |a| > |c|.  With delta = sqrt(|a|^2 - |c|^2),
+computed as sqrt(|a| - |c|) sqrt(|a| + |c|) so that no square overflows:
 
     k = (1/delta) [[a, conj(c)], [c, conj(a)]]
-    b = [[delta, (conj(a) b - conj(c) d) / delta], [0, 1/delta]]
+    b = [[delta, conj(a / delta) b - conj(c / delta) d], [0, 1/delta]]
 
 The admissibility inequalities are equally explicit: a dagger-fixed
 [[t1, m], [-conj(m), t2]] is admissible iff t1 + t2 > 2 and t1 > 1, and a
-triangular [[r, n], [0, 1/r]] iff r > 1 and r^2 + r^{-2} - |n|^2 > 2.
+triangular [[r, n], [0, 1/r]] iff r > 1 and r^2 + r^{-2} - |n|^2 > 2, i.e. r - 1/r > |n|.
+No formula here squares an entry, so the oracle follows its inputs across the float range.
 
 These formulas are the independent oracle the general-n algorithms are
 differentially tested against.
@@ -16,6 +18,7 @@ differentially tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +95,16 @@ def su11_decompose(g: Sl2Element) -> tuple[Sl2Element, Su11ANElement]:
     NotDecomposable
         When |a| <= |c| (the element lies outside the identity cell).
     """
-    width = abs(g.a) ** 2 - abs(g.c) ** 2
-    if width <= 0:
+    a, c = abs(g.a), abs(g.c)
+    if a <= c:
         raise NotDecomposable(
             "2x2 factorization requires |a| > |c|", index=1, kind="wrong_cone"
         )
-    delta = float(np.sqrt(width))
+    delta = math.sqrt(a - c) * math.sqrt(a + c)
     k = Sl2Element(
         g.a / delta, np.conj(g.c) / delta, g.c / delta, np.conj(g.a) / delta
     )
-    n = (np.conj(g.a) * g.b - np.conj(g.c) * g.d) / delta
+    n = np.conj(g.a / delta) * g.b - np.conj(g.c / delta) * g.d
     return k, Su11ANElement(r=delta, n=complex(n))
 
 
@@ -112,5 +115,5 @@ def su11_q_admissible(s: Su11QElement) -> bool:
 
 def su11_an_admissible(b: Su11ANElement) -> bool:
     """Exact admissibility of a triangular 2x2 element: r > 1 and
-    r^2 + r^{-2} - |n|^2 > 2."""
-    return b.r > 1.0 and b.r**2 + b.r**-2 - abs(b.n) ** 2 > 2.0
+    r^2 + r^{-2} - |n|^2 > 2, tested as r - 1/r > |n|."""
+    return b.r > 1.0 and b.r - 1.0 / b.r > abs(b.n)

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name is used in the package, and the numpy-only paths
-never load scipy."""
+private module-level name is used in the package, only public calls enter an
+errstate, and the numpy-only paths never load scipy."""
 
 import ast
 import json
@@ -60,6 +60,19 @@ def test_no_unused_private_names():
                 used.add(node.attr)
     assert defined, "no private names found"
     assert sorted(defined - used) == []
+
+
+def test_errstate_is_entered_only_at_public_entries():
+    # one np.errstate per public call, none below it: a private helper runs
+    # under the errstate of the public call that reached it
+    quiet = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "_quiet" for d in node.decorator_list):
+                quiet.add(node.name)
+    assert {"eig", "sym", "dress", "decompose_gauss", "check_admissible_q"} <= quiet
+    assert sorted(name for name in quiet if name.startswith("_")) == []
 
 
 # One call of each numpy-only public path, the CLI's decompose included;

@@ -485,6 +485,24 @@ def test_unitary_check_reports_the_worst_column(monkeypatch):
     assert re.search(r"defect 9\.90\de-03 > \d\.\d{3}e-\d\d", str(exc_info.value))
 
 
+def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
+    # with the J-Cholesky declining, the Gauss route takes the loop's factor
+    # sqrt|d| L*: the same pair to roundoff, and s in G0
+    rng = np.random.default_rng(1931)
+    cases = []
+    for n in range(2, 17):
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        cases.append((sig, random_decomposable(sig, rng)))
+    blocked = [decompose_gauss(g, sig) for sig, g in cases]
+    monkeypatch.setattr(iwasawa, "_j_cholesky", lambda H, p, tol: None)
+    for (sig, g), ref in zip(cases, blocked):
+        pair = decompose_gauss(g, sig)
+        assert np.linalg.norm(pair.b - ref.b) <= 1e-12 * np.linalg.norm(ref.b), sig
+        assert np.linalg.norm(pair.s - ref.s) <= 1e-12 * np.linalg.norm(ref.s), sig
+        assert is_member(pair.s, GroupTag.G0, sig), sig
+
+
 # Determinant windows (the SVD + LU of groups._det_is_one),
 # eigendecompositions and kernel.as_cmatrix conversions per public call at
 # n = 4: each input is converted and validated once, and no intermediate the

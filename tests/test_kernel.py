@@ -1,4 +1,4 @@
-"""Kernel contracts: validation, eigenpairs, signed LDL*, triangular solves."""
+"""Kernel contracts: validation, eigenpairs, signed LDL*, the certified Cholesky, triangular solves."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from supq.errors import (
 from supq.kernel import (
     DEFAULT_TOL_EIG,
     EIG_SIZE_CAP,
+    _definite,
     _frobenius,
+    _signed_ldl,
     as_cmatrix,
     as_cvector,
     eig,
@@ -253,6 +255,21 @@ def test_signed_ldl_subtracted_mass_does_not_overflow():
     L, d = signed_ldl([[1e-300, 1e-140], [1e-140, -1]])
     np.testing.assert_allclose(d, [1e-300, -1e20], rtol=1e-15)
     np.testing.assert_allclose(L[1, 0], 1e160, rtol=1e-15)
+
+
+@pytest.mark.parametrize("eps", [0.5e-6, 1.5e-6, 2.5e-6])
+def test_certified_cholesky_judges_a_cancelling_pivot_as_the_loop_does(eps):
+    # pivot 2 is eps = (1 + eps) - 1: its cancellation scale is |A_22| plus the
+    # subtracted mass |L_21|^2 = 1, so at tol = 1e-6 it clears only past 2e-6
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]], dtype=complex)
+    certified = _definite(A, abs(A.diagonal().real), 1e-6) is not None
+    assert certified == (eps > 2e-6)
+    try:
+        _signed_ldl(A, 1e-6)
+    except SingularMinor:
+        assert not certified
+    else:
+        assert certified
 
 
 # ---------------------------------------------------------------------------

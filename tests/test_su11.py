@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from supq.admissible import check_admissible_q
+from supq.admissible import check_admissible_an, check_admissible_q
 from supq.errors import NotDecomposable
+from supq.groups import random_g0
 from supq.indefinite import Signature
-from supq.iwasawa import decompose_gauss
+from supq.iwasawa import decompose_gauss, decompose_gs
 from supq.kernel import mat_exp
 from supq.su11 import (
     Sl2Element,
@@ -112,6 +113,43 @@ def test_decompose_rejects_wrong_cell():
     # boundary |a| = |c| is rejected the same way
     with pytest.raises(NotDecomposable):
         su11_decompose(Sl2Element(1.0, 0.5, 1.0, 1.5))
+
+
+def _widely_scaled(e, rng):
+    """(g, r, n): g = k [[r, n], [0, 1/r]] with r = 10^e and n = m / r, so det(g) = 1
+    is formed without cancellation and |a|^2 - |c|^2 leaves the float range past |e| = 154."""
+    r = 10.0**e
+    n = complex(rng.standard_normal(), rng.standard_normal()) / r
+    return Sl2Element.from_matrix(random_g0(SIG11, rng) @ np.array([[r, n], [0.0, 1.0 / r]])), r, n
+
+
+@pytest.mark.parametrize("e", [-200, -100, 100, 200])
+def test_closed_form_follows_the_routes_across_the_float_range(e):
+    # no square is formed, so the oracle factors what the general routes factor;
+    # the Gauss route squares g, so it is compared up to 1e+-100
+    routes = [decompose_gs] + ([decompose_gauss] if abs(e) <= 100 else [])
+    rng = np.random.default_rng(200 + e)
+    for _ in range(20):
+        g, r, n = _widely_scaled(e, rng)
+        k, tri = su11_decompose(g)
+        assert tri.r == pytest.approx(r, rel=1e-12) and tri.n == pytest.approx(n, rel=1e-12)
+        for route in routes:
+            pair = route(g.as_matrix(), SIG11)
+            np.testing.assert_allclose(pair.s, k.as_matrix(), rtol=0, atol=1e-12 * abs(k.a))
+            np.testing.assert_allclose(pair.b, tri.as_matrix(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("e", [-100, 100])
+def test_an_inequality_agrees_with_the_general_check_at_scale(e):
+    # sym(b) squares the scale, so the general check is compared up to 1e+-100
+    rng = np.random.default_rng(300 + e)
+    for _ in range(20):
+        _, r, n = _widely_scaled(e, rng)
+        b = Su11ANElement(r, n)
+        assert su11_an_admissible(b) == (e > 0)
+        assert check_admissible_an(b.as_matrix(), SIG11).admissible == su11_an_admissible(b)
+    assert su11_an_admissible(Su11ANElement(1e200, 0.0))
+    assert not su11_an_admissible(Su11ANElement(1e-200, 0.0))
 
 
 def test_factorization_reconstructs():
