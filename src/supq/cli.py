@@ -13,7 +13,8 @@ Exit codes:
 * 3 on a violated precondition (membership, zero vector, mismatched
   signatures), a symmetrization that overflows, or, with ``--json``, a
   result holding NaN or Inf, which JSON cannot carry;
-* 4 when the element is not decomposable.
+* 4 when the element is not decomposable; the report's diagnostics then
+  carry the failure's ``kind`` and 1-based ``index``.
 """
 
 from __future__ import annotations
@@ -229,6 +230,8 @@ def main(argv=None) -> int:
         error_code, code = next((e, c) for kinds, e, c in _ERROR_REPORTS if isinstance(exc, kinds))
         report.update(success=False, outputs={},
                       diagnostics={"error_code": error_code, "detail": str(exc)})
+        if isinstance(exc, NotDecomposable):
+            report["diagnostics"].update(kind=exc.kind, index=exc.index)
         _emit(report, args.json)
         return code
 

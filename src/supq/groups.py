@@ -82,7 +82,7 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
         return _frobenius(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
 
     strictly_lower_ok = _frobenius(np.tril(M, -1)) <= tol * scale
-    diag = np.diagonal(M)
+    diag = M.diagonal()
     diag_pos = bool(np.all(diag.real > 0) and np.all(np.abs(diag.imag) <= tol * np.abs(diag)))
 
     if tag is GroupTag.N:

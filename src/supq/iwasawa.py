@@ -10,9 +10,11 @@ unique when it exists):
 * :func:`decompose_gauss` forms h = dagger(g) g and factors J h as
   dagger(b) J b by a blocked J-Cholesky: the unpivoted signed LDL* of J h
   with the pivot signs J forces (+ for the first p, - for the rest), which
-  are exactly the obstruction.  When it does not certify its pivots, the
-  signed LDL* loop names the refusal: a wrong sign raises
-  :class:`~supq.errors.WrongInertia`.
+  are exactly the obstruction.  Every factor it returns is that
+  J-Cholesky's.  When it does not certify its pivots, the signed LDL* loop
+  only names the refusal: the first pivot, in order, that vanishes to
+  tolerance (:class:`~supq.errors.SingularMinor`) or has the wrong sign
+  (:class:`~supq.errors.WrongInertia`).
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import _admissibility_report
-from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, WrongInertia
+from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _require
 from .indefinite import Signature, _cone_margins, _dagger, _sym
 from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _signed_ldl, eig, mat_exp
@@ -51,7 +53,7 @@ class DecompPair:
     @classmethod
     def of(cls, g: np.ndarray, s: np.ndarray, b: np.ndarray) -> DecompPair:
         """The pair (s, b) of ``g``, with b split as diag(a) @ n_factor."""
-        a = np.diagonal(b).real.copy()
+        a = b.diagonal().real.copy()
         n_factor = b / a[:, None]
         np.fill_diagonal(n_factor, 1.0)
         return cls(s=s, b=b, a=a, n_factor=n_factor, residual=_frobenius(g - s @ b))
@@ -150,18 +152,23 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     after, i.e. the running pivot products match the leading principal
     minors of J h in the inertia forced by J, so b = diag(a) n comes from
     one Cholesky of the leading p x p block and one of minus its Schur
-    complement.  When that does not certify its pivots, the signed LDL*
-    loop names the refusal.  Then s = g b^{-1} is recovered and verified
-    to be pseudo-unitary.
+    complement; b is always that blocked J-Cholesky's factor.  When it
+    does not certify its pivots, the signed LDL* loop only names the
+    refusal and returns no factor.  Then s = g b^{-1} is recovered and
+    verified to be pseudo-unitary.
 
     Raises
     ------
     NotInG
         If g is not n x n with det(g) = 1 to tolerance.
     SingularMinor
-        If a pivot of J h vanishes to tolerance (boundary case).
+        If a pivot of J h vanishes to tolerance (boundary case).  When the
+        loop certifies every pivot the J-Cholesky did not (the two orders
+        of summation rounded apart), it names the pivot with the smallest
+        ratio to its cancellation scale.
     WrongInertia
-        If a pivot has the wrong sign (g lies in another cell).
+        If a pivot has the wrong sign (g lies in another cell).  ``index`` is
+        the first pivot, in order, that vanishes or has the wrong sign.
     NotDecomposable
         Of kind ``unitary_check`` if s is not pseudo-unitary (index: worst column).
     """
@@ -175,12 +182,7 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     jh = j[:, None] * _sym(g, j)
     b = _j_cholesky(jh, p, tol)
     if b is None:
-        # not certified: the loop names the refusal (or accepts at roundoff)
-        L, d = _signed_ldl(jh, tol)
-        for k in range(n):
-            if (d[k] > 0) != (k < p):
-                raise WrongInertia(k + 1)
-        b = np.sqrt(np.abs(d))[:, None] * L.conj().T
+        _signed_ldl(jh, tol, p)  # not certified: the loop names the refusal and raises
     # the pivot test certified every a_k > 0, so tol * ||b||_F must not re-judge
     # a_k, and partial pivoting swaps no rows of this upper triangular b: the
     # LU inverse is a plain back-substitution.

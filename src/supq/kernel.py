@@ -4,8 +4,9 @@ Input validation, the matrix exponential, eigenpairs, an *unpivoted*
 signed LDL* factorization, the certified Cholesky that its blocked
 J-Cholesky form and the admissibility certificates share, and triangular
 solves, all on numpy ``complex128`` arrays.
-Apart from the J-Cholesky, which takes the number p of positive pivots,
-everything here is signature-agnostic; the indefinite geometry lives in
+Apart from the J-Cholesky and the signed LDL* loop that names its
+refusals, which take the number p of positive pivots, everything here is
+signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
 scipy is imported on the first call of :func:`mat_exp` or
@@ -30,6 +31,7 @@ from .errors import (
     NotHermitian,
     SingularDiagonal,
     SingularMinor,
+    WrongInertia,
 )
 
 #: Default relative tolerance for structural checks (membership, pivots, ...).
@@ -177,30 +179,43 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return _signed_ldl(H, tol)
 
 
-def _signed_ldl(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _signed_ldl(H: np.ndarray, tol: float, p: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`signed_ldl` on a square, finite complex128 ``H`` that is
     Hermitian up to roundoff, such as one the library built as ``J dagger(g) g``.
 
     Judges no symmetry: it factors the Hermitian part ``(H + H*) / 2``, so a
     roundoff-level asymmetry never fails a call made with ``tol`` below
     roundoff.
+
+    With the forced inertia ``p`` (d > 0 exactly on the first p pivots) the
+    loop only names why :func:`_j_cholesky` declined ``H``, and never
+    returns: walking the pivots in order, it raises at the first one that
+    fails :func:`_pivot_clears` (:class:`SingularMinor`) or clears with the
+    wrong sign (:class:`WrongInertia`).  If every pivot clears with its
+    forced sign, the two summation orders rounded apart, and the refusal is
+    :class:`SingularMinor` at the pivot with the smallest
+    ``|d_k| / cancel_k``.
     """
     n = H.shape[0]
     Hs = 0.5 * (H + H.conj().T)
     L = np.eye(n, dtype=np.complex128)
     d = np.zeros(n)
-    root = np.zeros(n)  # sqrt|d|: the mass |L_ki|^2 |d_i| is squared only after scaling, as |b_ik|^2
+    cancels = np.zeros(n)
     for k in range(n):
-        scaled = np.abs(L[k, :k]) * root[:k]
+        # the mass |L_ki|^2 |d_i| is squared only after scaling, as |b_ik|^2
+        scaled = np.abs(L[k, :k]) * np.sqrt(np.abs(d[:k]))
         subtracted = np.copysign(scaled * scaled, d[:k])
         pivot = float(Hs[k, k].real - subtracted.sum())
         cancel = abs(Hs[k, k]) + float(np.abs(subtracted).sum())
         if not _pivot_clears(pivot, cancel, tol):
             raise SingularMinor(k + 1)
-        d[k], root[k] = pivot, math.sqrt(abs(pivot))
-        if k + 1 < n:
-            col = Hs[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k].conj() * d[:k])
-            L[k + 1 :, k] = col / pivot
+        if p is not None and (pivot > 0) != (k < p):
+            raise WrongInertia(k + 1)
+        d[k], cancels[k] = pivot, cancel
+        col = Hs[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k].conj() * d[:k])
+        L[k + 1 :, k] = col / pivot
+    if p is not None:
+        raise SingularMinor(int(np.argmin(np.abs(d) / cancels)) + 1)
     return L, d
 
 
@@ -235,7 +250,7 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     ``b* J b = Hs``.  Both blocks are :func:`_definite`, with scales
     ``|Hs_kk|`` and ``|Hs_kk| + (X* X)_kk``, so pivot k is ``b_kk^2`` with
     cancellation scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both
-    certify; :func:`_signed_ldl` then names the refusal.
+    certify; :func:`_signed_ldl` with p then names the refusal.
     """
     Hs = 0.5 * (H + H.conj().T)
     h = abs(Hs.diagonal().real)
@@ -269,7 +284,7 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatch(f"shapes {U.shape} and {B.shape} do not align")
     if U.shape[0] == 0:
         return B.copy()
-    diag = np.abs(np.diagonal(U))
+    diag = np.abs(U.diagonal())
     limit = tol * _frobenius(np.triu(U))
     small = np.flatnonzero(diag <= limit)
     if small.size:

@@ -418,19 +418,22 @@ def suite_exp_log(n_max: int = 6, trials: int = 500, seed: int = 42,
 
 
 def suite_failure_taxonomy(trials: int = 100, seed: int = 42) -> SuiteResult:
-    """Elements built outside the identity cell make both routes raise
-    (wrong inertia on the triangular route), never return a factorization."""
+    """Elements built outside the identity cell make both routes raise at the
+    generator's pivot (wrong inertia on the triangular route, a wrong cone on
+    the orthogonalization route), never return a factorization."""
 
     def trial(rng):
-        M, sig, _pivot = random_cell_crossed(rng)
+        M, sig, pivot = random_cell_crossed(rng)
         problems = []
-        for route, decompose in (("triangular", decompose_gauss),
-                                 ("orthogonalization", decompose_gs)):
+        for route, decompose, kind in (("triangular", decompose_gauss, "wrong_inertia"),
+                                       ("orthogonalization", decompose_gs, "wrong_cone")):
             try:
                 decompose(M, sig)
                 problems.append(f"{route} route returned a factorization")
-            except NotDecomposable:
-                pass
+            except NotDecomposable as exc:
+                if (exc.kind, exc.index) != (kind, pivot):
+                    problems.append(f"{route} route named {exc.kind} at {exc.index}, "
+                                    f"not {kind} at {pivot}")
             except SupqError as exc:
                 problems.append(_unexpected(exc))
         return (len(problems),), problems[0] if problems else None

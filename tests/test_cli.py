@@ -86,6 +86,9 @@ def test_decompose_wrong_cell_exits_4(tmp_path, capsys):
     assert code == 4
     assert rep["success"] is False
     assert rep["diagnostics"]["error_code"] == "not_decomposable"
+    assert (rep["diagnostics"]["kind"], rep["diagnostics"]["index"]) == ("wrong_inertia", 1)
+    assert cli.main(["decompose", "--in", path]) == 4
+    assert "  kind = wrong_inertia\n  index = 1\n" in capsys.readouterr().out
 
 
 def test_decompose_non_unimodular_exits_3(tmp_path, capsys):

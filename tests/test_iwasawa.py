@@ -32,7 +32,7 @@ from supq.iwasawa import (
     q_log,
     sym,
 )
-from supq.kernel import mat_exp
+from supq.kernel import DEFAULT_TOL, mat_exp, signed_ldl
 from supq.selftest import (
     random_admissible_an,
     random_admissible_q,
@@ -233,6 +233,28 @@ def test_cell_crossed_pivot_is_located():
         assert exc_info.value.kind in {"wrong_cone", "null_boundary"}
 
 
+# det-1 rescaling of P diag(sqrt|d|) L* in SU(1,2), with L = [[1, 0, 0],
+# [0.5, 1, 0], [0.25, 0.5, 1]], d = (-1, 1, -1e-13) and P swapping rows 1
+# and 2: pivot 1 has the wrong sign, pivot 3 is singular to tolerance.
+WRONG_SIGN_BEFORE_SINGULAR = np.array([
+    [0, -146.77992676220697, -73.38996338110348],
+    [-146.77992676220697, -73.38996338110348, -36.69498169055174],
+    [0, 0, -4.641588833612779e-05],
+])
+
+
+def test_first_obstruction_is_named_by_both_routes():
+    # the first pivot, in order, that breaks the factorization is named,
+    # not a later near-singular one
+    sig = Signature(1, 2)
+    with pytest.raises(WrongInertia) as exc:
+        decompose_gauss(WRONG_SIGN_BEFORE_SINGULAR, sig)
+    assert exc.value.index == 1
+    with pytest.raises(NotDecomposable) as exc:
+        decompose_gs(WRONG_SIGN_BEFORE_SINGULAR, sig)
+    assert (exc.value.kind, exc.value.index) == ("wrong_cone", 1)
+
+
 def test_decompose_rejects_non_unimodular():
     with pytest.raises(NotInG):
         decompose_gauss(2.0 * np.eye(2), SIG11)
@@ -292,16 +314,33 @@ def _cell_crossed(sig, rng):
     return random_g0(sig, rng, 0.5) @ E @ random_an(sig, rng, 0.5)
 
 
+def _near_boundary(sig, rng):
+    """det-1 ``diag(sqrt|d|) L*`` with the pivot signs J forces and a last pivot
+    about 1.5e-10 times its cancellation scale: singular at tol 1e-9 and up,
+    with every earlier pivot of the right sign."""
+    n = sig.n
+    L = np.eye(n) + np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1) / n
+    d = np.where(np.arange(n) < sig.p, 1.0, -1.0) * rng.uniform(0.5, 2.0, n)
+    d[-1] = -3e-10 * np.sum(np.abs(L[-1, :-1]) ** 2 * np.abs(d[:-1]))
+    b = np.sqrt(np.abs(d))[:, None] * L.conj().T
+    return b / np.prod(np.sqrt(np.abs(d))) ** (1.0 / n)
+
+
 def _loop_factor(jh, p, tol):
     """The reference factor sqrt|d| L* of the signed LDL* loop, or the
-    (type, index) of the refusal that the loop and its inertia check name."""
+    (type, index) of its first obstruction in order: a pivot with the wrong
+    sign before the one at which the loop stops, else that one."""
+    L, d = kernel._signed_ldl(jh, 0.0)  # the pivots the loop computes at every tol
     try:
-        L, d = kernel._signed_ldl(jh, tol)
+        kernel._signed_ldl(jh, tol)
+        stop = d.size + 1
     except SingularMinor as exc:
-        return None, (SingularMinor, exc.index)
+        stop = exc.index
     wrong = np.flatnonzero((d > 0) != (np.arange(d.size) < p))
-    if wrong.size:
+    if wrong.size and wrong[0] + 1 < stop:
         return None, (WrongInertia, int(wrong[0]) + 1)
+    if stop <= d.size:
+        return None, (SingularMinor, stop)
     return np.sqrt(np.abs(d))[:, None] * L.conj().T, None
 
 
@@ -314,6 +353,7 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
         "decomposable": lambda sig: random_decomposable(sig, rng),
         "cell_crossed": lambda sig: _cell_crossed(sig, rng),
         "far": lambda sig: random_an(sig, rng, 1.0) @ random_g0(sig, rng, 8.0),
+        "near_boundary": lambda sig: _near_boundary(sig, rng),
     }
     seen = set()
     for n in range(2, 33):
@@ -486,21 +526,29 @@ def test_unitary_check_reports_the_worst_column(monkeypatch):
 
 
 def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
-    # with the J-Cholesky declining, the Gauss route takes the loop's factor
-    # sqrt|d| L*: the same pair to roundoff, and s in G0
+    # the public loop's sqrt|d| L* is the J-Cholesky's factor to roundoff; but
+    # the Gauss route returns only the J-Cholesky's: with it declining, the
+    # loop names a refusal at its weakest pivot, the smallest |d_k| / cancel_k
     rng = np.random.default_rng(1931)
     cases = []
     for n in range(2, 17):
         p = int(rng.integers(1, n))
         sig = Signature(p, n - p)
         cases.append((sig, random_decomposable(sig, rng)))
-    blocked = [decompose_gauss(g, sig) for sig, g in cases]
+    for sig, g in cases:
+        jh = g.conj().T @ sig.J @ g
+        L, d = signed_ldl(jh)
+        loop = np.sqrt(np.abs(d))[:, None] * L.conj().T
+        b = kernel._j_cholesky(jh, sig.p, DEFAULT_TOL)
+        assert np.linalg.norm(loop - b) <= 1e-12 * np.linalg.norm(b), sig
     monkeypatch.setattr(iwasawa, "_j_cholesky", lambda H, p, tol: None)
-    for (sig, g), ref in zip(cases, blocked):
-        pair = decompose_gauss(g, sig)
-        assert np.linalg.norm(pair.b - ref.b) <= 1e-12 * np.linalg.norm(ref.b), sig
-        assert np.linalg.norm(pair.s - ref.s) <= 1e-12 * np.linalg.norm(ref.s), sig
-        assert is_member(pair.s, GroupTag.G0, sig), sig
+    for sig, g in cases:
+        jh = g.conj().T @ sig.J @ g
+        L, d = signed_ldl(jh)
+        cancel = np.abs(jh.diagonal()) + np.tril(np.abs(L) ** 2 * np.abs(d), -1).sum(axis=1)
+        with pytest.raises(SingularMinor) as exc:
+            decompose_gauss(g, sig)
+        assert exc.value.index == int(np.argmin(np.abs(d) / cancel)) + 1, sig
 
 
 # Determinant windows (the SVD + LU of groups._det_is_one),

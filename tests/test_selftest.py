@@ -6,7 +6,7 @@ import re
 import pytest
 
 from supq import selftest
-from supq.errors import NoConvergence, NotInG
+from supq.errors import NoConvergence, NotDecomposable, NotInG, SingularMinor
 
 
 def test_error_inside_a_trial_is_reported_as_a_failure(monkeypatch):
@@ -43,6 +43,26 @@ def test_suites_report_unexpected_errors(monkeypatch, suite, options, target, er
     assert re.match(rf"trial \d+: unexpected {error.__name__}", result.detail)
     results = selftest.run_selftest(n_max=2, trials=5, seed=1)
     assert not all(r.passed for r in results)
+
+
+@pytest.mark.parametrize(
+    "target, error, named",
+    [
+        ("decompose_gauss", lambda: SingularMinor(9), "triangular route named singular_minor at 9"),
+        ("decompose_gs", lambda: NotDecomposable("x", index=9, kind="wrong_cone"),
+         "orthogonalization route named wrong_cone at 9"),
+    ],
+)
+def test_failure_taxonomy_checks_the_kind_and_the_pivot(monkeypatch, target, error, named):
+    # a route that refuses, but names another kind or pivot than the
+    # generator's, fails the trial
+    def misnamed(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(selftest, target, misnamed)
+    result = selftest.suite_failure_taxonomy(trials=3, seed=1)
+    assert result.passed is False
+    assert re.match(rf"trial 0: {named}, not (wrong_inertia|wrong_cone) at \d$", result.detail)
 
 
 TINY_SUITES = {
