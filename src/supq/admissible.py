@@ -7,15 +7,17 @@ carried by timelike eigenvectors and q values carried by spacelike ones,
 with min(timelike) > max(spacelike).  A triangular factor b is admissible
 exactly when its symmetrization dagger(b) b is.
 
-Both verdicts here try a certificate first: one Cholesky of a shifted
-Hermitian matrix ``H - t J`` (:func:`_shift_certificate`).  For
-admissibility it is the definite pencil ``J(s - cI) > 0`` at the midpoint
-c of the gap, with ``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman,
-*Indefinite Linear Algebra and Its Applications*, 2005); for cone
-preservation it is the strict S-lemma ``s* J s - tau J > 0`` (Polik and
-Terlaky, SIAM Rev. 49(3), 2007).  Only an element the certificate does not
-settle goes on to the heuristic that decides it otherwise: the labelling of
-eigenvectors by the pairing, or the Monte-Carlo cone sampler.
+Both verdicts here rest on a certificate: one Cholesky of a shifted
+Hermitian matrix ``H - t J`` (:func:`_shift_certificate`) whose pivots
+clear the rounding bound of double precision.  For admissibility it is the
+definite pencil ``J(s - cI) > 0`` at the midpoint c of the gap, with
+``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman, *Indefinite Linear
+Algebra and Its Applications*, 2005), and it is the only way to an
+admissible verdict: the labelling of eigenvectors by the pairing only names
+the refusal of an element it does not certify.  For cone preservation it is
+the strict S-lemma ``s* J s - tau J > 0`` (Polik and Terlaky, SIAM
+Rev. 49(3), 2007); an element it does not settle goes on to the Monte-Carlo
+cone sampler.
 
 Also here: the pseudo Rayleigh quotient and leading principal minors.
 """
@@ -30,14 +32,14 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, as_cmatrix, eig
+from .kernel import DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, _rounding_bound, as_cmatrix, eig
 
-#: Floor for the relative "eigendirection is pairing-null" threshold.  A
-#: defective eigenvalue splits numerically by about sqrt(eps), leaving each
-#: computed eigenvector with an indefinite norm of that same noise order, so
-#: verdicts below this floor would be read off rounding error.  Genuinely
-#: definite directions of a bounded element keep their indefinite norm
-#: above (spectral gap) / ||s||, orders of magnitude larger.
+#: Floor for the relative "eigendirection is pairing-null" threshold of the
+#: labelling, which names refusals and decides no verdict.  A defective
+#: eigenvalue splits numerically by about sqrt(eps), leaving each computed
+#: eigenvector with an indefinite norm of that same noise order, so a
+#: refusal below this floor is named "null eigenvector" rather than read
+#: off rounding error as a spectral gap.
 NULL_FLOOR = 1e-7
 
 
@@ -51,7 +53,12 @@ class AdmissibilityReport:
     eigenvectors (repeated eigenvalues appear once per attached eigenvector);
     a "null eigenvector" verdict carries the labels read before the null
     direction.  ``margin`` is min(timelike) - max(spacelike) when both
-    families are present, else 0.
+    families are present, else 0.  ``reason`` is "admissible" for a
+    certified element; otherwise it names the refusal: "complex
+    eigenvalues", "nonpositive eigenvalues", "null eigenvector", "inertia
+    mismatch: ...", "gap violated" (margin <= 0) or "gap not certified",
+    whose labels are in order with a positive margin that the certificate
+    could not prove in double precision.
     """
 
     admissible: bool
@@ -74,24 +81,26 @@ def is_admissible_diag(d, sig: Signature) -> bool:
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  First
-    a certificate: with the real spectrum sorted descending and positive as
-    computed, ``s`` is admissible when the gap ``lambda_p - lambda_{p+1}``
-    exceeds ``tol * lambda_p``, ``J(s - cI)`` at its midpoint c passes one
-    Cholesky (:func:`_shift_certificate`) and the blocked J-Cholesky of
-    ``J s`` gives ``In(J s) = (p, q)``.  These tests are relative, so a
-    certified verdict does not depend on the scale of the entries, as far as
-    the eigensolver resolves the smallest eigenvalue.
+    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  The
+    verdict is a certificate: with the real spectrum sorted descending and
+    positive as computed, ``s`` is admissible exactly when the gap
+    ``lambda_p - lambda_{p+1}`` exceeds ``tol * lambda_p``, ``J(s - cI)`` at
+    its midpoint c passes one Cholesky (:func:`_shift_certificate`) and the
+    blocked J-Cholesky of ``J s`` gives ``In(J s) = (p, q)``, both with every
+    pivot clearing the rounding bound ``kernel._rounding_bound(n)``.  These
+    tests are relative, so the verdict does not depend on the scale of the
+    entries, as far as the eigensolver resolves the smallest eigenvalue.
 
-    An element without a certificate is labelled, and the labels give the
-    verdict and the reason: one Hermitian Gram matrix
-    of the indefinite pairing on all eigenvectors is re-diagonalized per
-    block of a near-degenerate cluster, so each eigenvalue is attached to
-    pairing-definite directions; a pairing-null direction makes the element
-    inadmissible with margin 0.  The null test compares the indefinite norm
+    An element without a certificate is refused, and its eigenvectors are
+    labelled only to name the refusal: one Hermitian Gram matrix of the
+    indefinite pairing on all eigenvectors is re-diagonalized per block of
+    a near-degenerate cluster, so each eigenvalue is attached to
+    pairing-definite directions; a pairing-null direction gives "null
+    eigenvector" with margin 0.  The null test compares the indefinite norm
     of each direction against ``max(tol, NULL_FLOOR)`` times its Euclidean
     norm, so that the noise left by a defective (non-diagonalizable) element
-    is reported as a null direction rather than as a spurious spectral gap.
+    is named a null direction.  Labels in order with a positive margin give
+    "gap not certified": double precision cannot prove that gap.
 
     Raises
     ------
@@ -113,19 +122,19 @@ def _admissibility_report(
         return AdmissibilityReport(False, vals, reason="complex eigenvalues")
     lam, p = vals.real, sig.p
     lo, hi = float(lam[p]), float(lam[p - 1])
-    js = sig.j_diag[:, None] * s
-    if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, tol)
-            and (sylvester or _j_cholesky(js, p, tol) is not None)):
+    js, bound = sig.j_diag[:, None] * s, _rounding_bound(sig.n)
+    if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
+            and (sylvester or _j_cholesky(js, p, bound) is not None)):
         return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
     return _labelled_report(result, sig, tol)
 
 
 def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
-    """:func:`check_admissible_q`'s verdict on a spectrum real to ``tol``, from the
-    eigenvectors' pairing labels alone."""
+    """:func:`check_admissible_q`'s refusal of an uncertified spectrum real to ``tol``,
+    named from the eigenvectors' pairing labels; never admissible."""
     vals = result.values
     lam = vals.real
-    if np.any(lam <= tol):
+    if np.any(lam <= 0):
         return AdmissibilityReport(False, vals, reason="nonpositive eigenvalues")
 
     # Clusters of near-equal eigenvalues are contiguous, so the masked pairing Gram is
@@ -148,24 +157,11 @@ def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> Admissi
         return AdmissibilityReport(False, vals, timelike, spacelike, 0.0, "null eigenvector")
 
     if len(timelike) != sig.p:
-        return AdmissibilityReport(
-            False,
-            vals,
-            timelike,
-            spacelike,
-            0.0,
-            f"inertia mismatch: {len(timelike)} timelike directions, expected {sig.p}",
-        )
-    margin = min(timelike) - max(spacelike)
-    admissible = margin > tol
-    return AdmissibilityReport(
-        admissible,
-        vals,
-        timelike,
-        spacelike,
-        float(margin),
-        "admissible" if admissible else "gap violated",
-    )
+        reason = f"inertia mismatch: {len(timelike)} timelike directions, expected {sig.p}"
+        return AdmissibilityReport(False, vals, timelike, spacelike, 0.0, reason)
+    margin = float(min(timelike) - max(spacelike))
+    reason = "gap not certified" if margin > 0 else "gap violated"
+    return AdmissibilityReport(False, vals, timelike, spacelike, margin, reason)
 
 
 @_quiet
@@ -188,9 +184,10 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
 
 def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:
     """True when ``A = H - t J``, ``t = (lo + hi) / 2``, is :func:`~supq.kernel._definite`
-    at the magnitudes before the shift, the scale ``|H_kk| + |t|``: then A is positive
-    definite with each pivot's sign determined, at every scale.  H is Hermitian to
-    roundoff or to ``tol``; the Cholesky reads its lower triangle."""
+    to ``tol`` at the magnitudes before the shift, the scale ``|H_kk| + |t|``: both
+    certificates pass the rounding bound, so A is positive definite with each pivot's
+    sign determined in double precision, at every scale.  H is Hermitian to roundoff;
+    the Cholesky reads its lower triangle."""
     t = 0.5 * (lo + hi)
     return _definite(H - t * J, abs(H.diagonal().real) + abs(t), tol) is not None
 
@@ -234,7 +231,7 @@ def _cone_certificate(s: np.ndarray, sig: Signature, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     lo, hi = max(0.0, float(w[sig.q - 1])), float(w[sig.q])  # w ascending: w_{p+1}, w_p
-    return lo < hi and _shift_certificate(M, sig.J, lo, hi, tol)
+    return lo < hi and _shift_certificate(M, sig.J, lo, hi, _rounding_bound(sig.n))
 
 
 def _cone_search(s: np.ndarray, sig: Signature, trials: int, seed: int, tol: float) -> bool:

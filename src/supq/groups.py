@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
 from .indefinite import Signature, _check_matrix, _dagger, dagger
-from .kernel import DEFAULT_TOL, _frobenius, _quiet, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _quiet, _rounding_bound, mat_exp
 
 
 class GroupTag(enum.Enum):
@@ -37,9 +37,12 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     actually be computed to: the LU determinant of a matrix with condition
     number kappa carries a relative error of order eps * kappa, so the
     acceptance window widens with conditioning (capped so that clearly
-    wrong determinants are still rejected).  Every window is capped at 0.5,
-    because one that reaches 1 can no longer tell det = 1 from det = 0; at
-    the default tol the window is at most 1e-3."""
+    wrong determinants are still rejected).  ``tol`` is floored at the
+    rounding bound of an n x n elimination, ``kernel._rounding_bound(n)``,
+    so that ``tol = 0`` still accepts a determinant rounded off 1.  Every window
+    is capped at 0.5, because one that reaches 1 can no longer tell det = 1
+    from det = 0; at the default tol the window is at most 1e-3."""
+    tol = max(tol, _rounding_bound(M.shape[0]))
     miss = abs(np.linalg.det(M) - 1.0)
     # The allowance below is never less than the plain window (numpy
     # reports the cond of a finite singular matrix as inf, not NaN), so the
@@ -61,6 +64,9 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     symmetry defects are compared against ``tol * max(1, ||M||_F)``, the
     imaginary part of a diagonal entry against ``tol`` times its modulus,
     and the determinant against a conditioning-aware window around 1.  The
+    G0 defect ``||dagger(M) M - I||_F`` is also allowed the rounding of the
+    product, ``kernel._rounding_bound(n) * max(1, ||M||_F)^2``, and a window
+    that overflows accepts nothing.  The
     Frobenius norms are taken so that they do not overflow, so an entry
     near 1e200 is judged like a moderate one.  The determinant window (an
     LU, plus an SVD when it misses 1 by more than ``tol``) is evaluated
@@ -77,7 +83,8 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
     scale = max(1.0, _frobenius(M))
     if tag is GroupTag.G0:
         defect = _frobenius(_dagger(M, sig.j_diag) @ M - np.eye(n))
-        return defect <= tol * scale and _det_is_one(M, tol)
+        window = tol * scale + _rounding_bound(n) * scale * scale
+        return defect <= window < np.inf and _det_is_one(M, tol)
     if tag is GroupTag.Q:
         return _frobenius(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
 

@@ -228,6 +228,15 @@ def _pivot_clears(pivot, cancel, tol: float):
     return abs(pivot) > tol * cancel
 
 
+def _rounding_bound(n: int) -> float:
+    """``8 n eps``, the a-priori relative error of an n-term sum of products in
+    double precision: the ``c n u`` of the Cholesky backward error (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 10).
+    Passed as ``tol`` to :func:`_pivot_clears`, it certifies a pivot whose sign
+    no rounding of the input's n x n products can flip."""
+    return 8.0 * n * sys.float_info.epsilon
+
+
 def _definite(A: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray | None:
     """The library's one certified Cholesky: the factor L of a Hermitian ``A``
     (lower triangle read) when every pivot ``L_kk^2`` clears :func:`_pivot_clears`

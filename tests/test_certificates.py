@@ -1,6 +1,6 @@
 """The definite-pencil certificates of supq.admissible, checked against the
-paths they short-cut: the pairing labels of the eigenvectors and the
-Monte-Carlo cone search."""
+pairing labels of the eigenvectors, which only name a refusal, and against
+the Monte-Carlo cone search."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
 from supq.errors import NotAdmissible
 from supq.iwasawa import q_log, sym
-from supq.kernel import DEFAULT_TOL, eig
+from supq.kernel import DEFAULT_TOL, _rounding_bound, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
 
 
@@ -29,18 +29,22 @@ def _draws(seed, count, n_max=8):
 
 
 def test_certified_reports_match_the_labelling():
+    # the labels name a refusal and never accept; on a certified element they
+    # read the same lists and margin, with the gap left "not certified"
     certified = 0
     for kind, sig, s, sylvester in _draws(2026, 600):
         result = eig(s)
         report = _admissibility_report(result, s, sig, DEFAULT_TOL, sylvester)
         labelled = _labelled_report(result, sig, DEFAULT_TOL)
-        assert (report.admissible, report.reason) == (labelled.admissible, labelled.reason)
+        assert not labelled.admissible
         assert report.admissible == (kind != "nonadmissible_q")
+        assert labelled.reason == ("gap not certified" if report.admissible else report.reason)
         assert report.margin == pytest.approx(labelled.margin, rel=1e-12)
         assert report.timelike_values == pytest.approx(labelled.timelike_values, rel=1e-12)
         assert report.spacelike_values == pytest.approx(labelled.spacelike_values, rel=1e-12)
         lam = result.values.real
-        certified += _shift_certificate(sig.j_diag[:, None] * s, sig.J, lam[sig.p], lam[sig.p - 1], DEFAULT_TOL)
+        bound = _rounding_bound(sig.n)
+        certified += _shift_certificate(sig.j_diag[:, None] * s, sig.J, lam[sig.p], lam[sig.p - 1], bound)
     assert certified == 400  # every admissible draw took the certificate, no gap violator did
 
 
@@ -55,10 +59,24 @@ def test_inertia_is_part_of_the_certificate():
 
 
 def test_widely_scaled_diagonal_is_certified_in_one_orientation_only():
-    assert check_admissible_q(np.diag([1e10, 1e-10]), Signature(1, 1)).admissible
-    report = check_admissible_q(np.diag([1e-10, 1e10]), Signature(1, 1))
-    assert not report.admissible
-    assert report.reason == "nonpositive eigenvalues"
+    # a positive spectrum is never "nonpositive"; exponents +-6e-10 and +-8e-10
+    # give a relative gap above tol whose shift pivots (of the gap's size) clear
+    # the rounding bound, while their labelled clusters merge
+    for a in (1e10, np.exp(6e-10), np.exp(8e-10)):
+        assert check_admissible_q(np.diag([a, 1 / a]), Signature(1, 1)).admissible
+        report = check_admissible_q(np.diag([1 / a, a]), Signature(1, 1))
+        assert not report.admissible
+        assert report.reason == "gap violated"
+
+
+def test_unipotent_q_element_is_never_admissible():
+    # [[1+x, x], [-x, 1-x]] has trace 2 and det 1: a double eigenvalue 1 on the
+    # boundary of the admissible set, whatever the labels of its split eigenvectors
+    for x in np.geomspace(1e-4, 1e3, 400):
+        s = np.array([[1 + x, x], [-x, 1 - x]])
+        assert not check_admissible_q(s, Signature(1, 1)).admissible
+        with pytest.raises(NotAdmissible):
+            q_log(s, Signature(1, 1))
 
 
 def test_q_log_of_a_widely_scaled_diagonal():

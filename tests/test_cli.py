@@ -15,8 +15,9 @@ import pytest
 
 from supq import cli
 from supq.docio import dumps, matrix_to_doc
+from supq.groups import random_g0
 from supq.indefinite import Signature
-from supq.selftest import SuiteResult, random_decomposable
+from supq.selftest import SuiteResult, random_admissible_an, random_decomposable
 
 SIG11 = Signature(1, 1)
 SQ2 = np.sqrt(2.0)
@@ -106,12 +107,26 @@ def test_decompose_singular_matrix_at_a_wide_tolerance_exits_3(tmp_path, capsys)
 
 
 def test_decompose_at_zero_tolerance_exits_0(tmp_path, capsys):
-    # J dagger(g) g is Hermitian only to roundoff; tol = 0 must not turn
-    # that into an error
-    path = _write_doc(tmp_path, "g.json", random_decomposable(SIG11, np.random.default_rng(5)))
-    code, rep = _run_json(capsys, ["decompose", "--in", path, "--tol", "0"])
+    # J dagger(g) g is Hermitian only to roundoff, and the second g has det
+    # 1.0000000000000007; tol = 0 must not turn either into an error
+    for sig, seed in ((SIG11, 5), (Signature(2, 1), 3)):
+        path = _write_doc(tmp_path, "g.json", random_decomposable(sig, np.random.default_rng(seed)), sig=sig)
+        for method in ("gauss", "gs"):
+            code, rep = _run_json(capsys, ["decompose", "--in", path, "--method", method, "--tol", "0"])
+            assert code == 0
+            assert rep["success"] is True
+
+
+def test_dress_at_zero_tolerance_exits_0(tmp_path, capsys):
+    # b and g are in AN and SU(2, 1) only to roundoff: their determinants are
+    # 1 - 1.1e-16, and dagger(g) g - I is of the order of eps
+    sig = Signature(2, 1)
+    rng = np.random.default_rng(4)
+    b_path = _write_doc(tmp_path, "b.json", random_admissible_an(sig, rng), sig=sig)
+    g_path = _write_doc(tmp_path, "g.json", random_g0(sig, rng), sig=sig)
+    code, rep = _run_json(capsys, ["dress", "--b", b_path, "--g", g_path, "--tol", "0"])
     assert code == 0
-    assert rep["success"] is True
+    assert rep["diagnostics"]["residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["gauss", "gs", "both"])
