@@ -81,7 +81,9 @@ def is_admissible_diag(d, sig: Signature) -> bool:
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    Eigenvalues count as real when ``|imag| <= tol * (1 + |real|)``.  The
+    Eigenvalues count as real when ``|imag| <= max(tol,
+    kernel._rounding_bound(n)) * (1 + |real|)``, so that ``tol = 0`` does
+    not judge the roundoff of ``eig``.  The
     verdict is a certificate: with the real spectrum sorted descending and
     positive as computed, ``s`` is admissible exactly when the gap
     ``lambda_p - lambda_{p+1}`` exceeds ``tol * lambda_p``, ``J(s - cI)`` at
@@ -117,12 +119,12 @@ def _admissibility_report(
     """:func:`check_admissible_q`'s verdict from ``result = eig(s)`` of a validated or
     library-built Q element s.  ``sylvester`` says that ``s = dagger(b) b``, so that
     ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
-    vals = result.values
-    if np.any(np.abs(vals.imag) > tol * (1.0 + np.abs(vals.real))):
+    vals, bound = result.values, _rounding_bound(sig.n)
+    if np.any(np.abs(vals.imag) > max(tol, bound) * (1.0 + np.abs(vals.real))):
         return AdmissibilityReport(False, vals, reason="complex eigenvalues")
     lam, p = vals.real, sig.p
     lo, hi = float(lam[p]), float(lam[p - 1])
-    js, bound = sig.j_diag[:, None] * s, _rounding_bound(sig.n)
+    js = sig.j_diag[:, None] * s
     if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
             and (sylvester or _j_cholesky(js, p, bound) is not None)):
         return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")

@@ -60,10 +60,11 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
 def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> bool:
     """Tolerance-based membership test for ``tag``.
 
-    Structural zeros (below-diagonal entries for the triangular family) and
-    symmetry defects are compared against ``tol * max(1, ||M||_F)``, the
-    imaginary part of a diagonal entry against ``tol`` times its modulus,
-    and the determinant against a conditioning-aware window around 1.  The
+    Structural zeros (below-diagonal entries for the triangular family) are
+    compared against ``tol * max(1, ||M||_F)``, the Q symmetry defect against
+    ``max(tol, kernel._rounding_bound(n)) * max(1, ||M||_F)``, the imaginary
+    part of a diagonal entry against ``tol`` times its modulus, and the
+    determinant against a conditioning-aware window around 1.  The
     G0 defect ``||dagger(M) M - I||_F`` is also allowed the rounding of the
     product, ``kernel._rounding_bound(n) * max(1, ||M||_F)^2``, and a window
     that overflows accepts nothing.  The
@@ -75,18 +76,33 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
     return bool(_in_set(_check_matrix(M, sig), tag, sig, tol))
 
 
+def _unitary_defect(M: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, float]:
+    """``(dagger(M) M - I, window)``: the SU(p, q) defect matrix of M and the
+    bound on its Frobenius norm, ``tol * scale + kernel._rounding_bound(n) *
+    scale^2`` with ``scale = max(1, ||M||_F)``.  The second term is the
+    rounding of the product, so ``tol = 0`` still accepts a computed factor."""
+    scale = max(1.0, _frobenius(M))
+    return _dagger(M, sig.j_diag) @ M - np.eye(sig.n), tol * scale + _rounding_bound(sig.n) * scale * scale
+
+
+def _pseudo_unitary(M: np.ndarray, sig: Signature, tol: float) -> bool:
+    """Whether dagger(M) M = I within the window of :func:`_unitary_defect`; a
+    window that overflows accepts nothing.  The one acceptor of G0's defect and
+    of the factor s that either decomposition route returns."""
+    gram, window = _unitary_defect(M, sig, tol)
+    return _frobenius(gram) <= window < np.inf
+
+
 def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
     """:func:`is_member` of a validated n x n complex matrix."""
-    n = sig.n
     if tag is GroupTag.G:
         return _det_is_one(M, tol)
-    scale = max(1.0, _frobenius(M))
     if tag is GroupTag.G0:
-        defect = _frobenius(_dagger(M, sig.j_diag) @ M - np.eye(n))
-        window = tol * scale + _rounding_bound(n) * scale * scale
-        return defect <= window < np.inf and _det_is_one(M, tol)
+        return _pseudo_unitary(M, sig, tol) and _det_is_one(M, tol)
+    scale = max(1.0, _frobenius(M))
     if tag is GroupTag.Q:
-        return _frobenius(_dagger(M, sig.j_diag) - M) <= tol * scale and _det_is_one(M, tol)
+        floor = max(tol, _rounding_bound(sig.n))
+        return _frobenius(_dagger(M, sig.j_diag) - M) <= floor * scale and _det_is_one(M, tol)
 
     strictly_lower_ok = _frobenius(np.tril(M, -1)) <= tol * scale
     diag = M.diagonal()

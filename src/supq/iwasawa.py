@@ -11,10 +11,16 @@ unique when it exists):
   dagger(b) J b by a blocked J-Cholesky: the unpivoted signed LDL* of J h
   with the pivot signs J forces (+ for the first p, - for the rest), which
   are exactly the obstruction.  Every factor it returns is that
-  J-Cholesky's.  When it does not certify its pivots, the signed LDL* loop
-  only names the refusal: the first pivot, in order, that vanishes to
-  tolerance (:class:`~supq.errors.SingularMinor`) or has the wrong sign
-  (:class:`~supq.errors.WrongInertia`).
+  J-Cholesky's, its pivots judged at the rounding bound
+  ``kernel._rounding_bound(n)``.  When it does not certify them, the
+  signed LDL* loop only names the refusal: the first pivot, in order, that
+  vanishes to rounding (:class:`~supq.errors.SingularMinor`) or has the
+  wrong sign (:class:`~supq.errors.WrongInertia`).
+
+Each route is one step that returns (s, b), and one acceptor: s must pass
+the SU(p, q) window of :func:`~supq.groups.is_member`, at once or after the
+same step has run once more on s.  Otherwise the route raises
+``NotDecomposable(kind="unitary_check")``.
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -30,9 +36,9 @@ import numpy as np
 
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
-from .groups import GroupTag, _require
+from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import Signature, _cone_margins, _dagger, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _signed_ldl, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, eig, mat_exp
 
 
 @dataclass
@@ -90,7 +96,10 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     time it is reached.  The coefficient for u_l is <v, u_l> divided by
     <u_l, u_l> = +1 (l <= p) or -1 (l > p).  The residual must be strictly
     timelike for k <= p and strictly spacelike afterwards; its indefinite
-    length becomes the diagonal entry b_kk > 0.
+    length becomes the diagonal entry b_kk > 0.  The factor s is returned
+    only through the SU(p, q) window of :func:`~supq.groups.is_member`; when
+    one pass misses it, the loop runs once more on s ("twice is enough":
+    Giraud, Langou and Rozložník, Comput. Math. Appl. 50, 2005).
 
     Raises
     ------
@@ -100,14 +109,20 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         With ``kind="null_boundary"`` when a residual is null to tolerance
         (|norm_sq| <= tol * ||r||_2^2), or ``kind="wrong_cone"`` when it has
         the wrong causal type.  ``index`` is the offending column, 1-based.
+        Of kind ``unitary_check`` if s misses the SU(p, q) window after the
+        second pass (index: worst column).
     NonFiniteInput
         If a diagonal entry of b exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
+    return _certified(g, g.copy(), sig, tol, lambda x: _gs_step(x, sig, tol))
+
+
+def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of :func:`decompose_gs`'s column loop on ``R``, which it
+    reduces and normalises in place: ``(s, b)`` with s the final R."""
     n, p = sig.n, sig.p
     j = sig.j_diag
-    # Columns are reduced and then normalised in place: R ends as s.
-    R = g.copy()
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         r = R[:, k]
@@ -139,7 +154,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
             c = -c
         R[:, k + 1:] -= np.outer(r, c)
         B[k, k + 1:] = c
-    return DecompPair.of(g, R, B)
+    return R, B
 
 
 @_quiet
@@ -152,17 +167,21 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     after, i.e. the running pivot products match the leading principal
     minors of J h in the inertia forced by J, so b = diag(a) n comes from
     one Cholesky of the leading p x p block and one of minus its Schur
-    complement; b is always that blocked J-Cholesky's factor.  When it
-    does not certify its pivots, the signed LDL* loop only names the
-    refusal and returns no factor.  Then s = g b^{-1} is recovered and
-    verified to be pseudo-unitary.
+    complement; b is always that blocked J-Cholesky's factor.  Its pivots
+    are judged at the rounding bound ``kernel._rounding_bound(n) = 8 n eps``,
+    not at ``tol``.  When it does not certify them, the signed LDL* loop
+    only names the refusal and returns no factor.  Then s = g b^{-1} is
+    returned only through the SU(p, q) window of
+    :func:`~supq.groups.is_member`; when it misses, one more step factors s
+    the same way, s <- s b2^{-1} and b <- b2 b (CholeskyQR2: Yamamoto et
+    al., ETNA 44, 2015).
 
     Raises
     ------
     NotInG
         If g is not n x n with det(g) = 1 to tolerance.
     SingularMinor
-        If a pivot of J h vanishes to tolerance (boundary case).  When the
+        If a pivot of J h vanishes to rounding (boundary case).  When the
         loop certifies every pivot the J-Cholesky did not (the two orders
         of summation rounded apart), it names the pivot with the smallest
         ratio to its cancellation scale.
@@ -170,38 +189,48 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         If a pivot has the wrong sign (g lies in another cell).  ``index`` is
         the first pivot, in order, that vanishes or has the wrong sign.
     NotDecomposable
-        Of kind ``unitary_check`` if s is not pseudo-unitary (index: worst column).
+        Of kind ``unitary_check`` if s misses the SU(p, q) window after the
+        second step (index: worst column).
     """
     return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
 
 
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
-    n, p = sig.n, sig.p
-    j = sig.j_diag
-    jh = j[:, None] * _sym(g, j)
-    b = _j_cholesky(jh, p, tol)
+    return _certified(g, g, sig, tol, lambda x: _gauss_step(x, sig))
+
+
+def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss step: ``(x b^{-1}, b)`` with b the blocked J-Cholesky factor
+    of ``J dagger(x) x``, every pivot judged at the rounding bound; if it
+    declines, the signed LDL* loop names the refusal and raises."""
+    j, bound = sig.j_diag, _rounding_bound(sig.n)
+    jh = j[:, None] * _sym(x, j)
+    b = _j_cholesky(jh, sig.p, bound)
     if b is None:
-        _signed_ldl(jh, tol, p)  # not certified: the loop names the refusal and raises
-    # the pivot test certified every a_k > 0, so tol * ||b||_F must not re-judge
-    # a_k, and partial pivoting swaps no rows of this upper triangular b: the
-    # LU inverse is a plain back-substitution.
-    b_inv = np.linalg.inv(b)
-    s = g @ b_inv
-    # A wrong factorization leaves an O(1) pseudo-unitarity defect; an
-    # honest one leaves roughly eps * cond(b)^2, so the acceptance window
-    # widens with the conditioning of the triangular factor (capped well
-    # below O(1)).  det(s) = det(g) / prod(a), prod(a) > 0: g's det window covers s.
-    cond_b = _frobenius(b) * _frobenius(b_inv)
-    unitary_tol = min(max(100.0 * tol, 64.0 * float(np.finfo(float).eps) * cond_b * cond_b), 1e-2)
-    gram_defect = _dagger(s, j) @ s - np.eye(n)
-    defect = _frobenius(gram_defect)
-    window = unitary_tol * max(1.0, _frobenius(s))
-    if not defect <= window:
-        raise NotDecomposable(
-            f"recovered factor failed the pseudo-unitarity check: defect {defect:.3e} > {window:.3e}",
-            index=int(np.argmax(np.linalg.norm(gram_defect, axis=0))) + 1, kind="unitary_check",
-        )
+        _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
+    # partial pivoting swaps no rows of this upper triangular b: the LU
+    # inverse is a plain back-substitution.
+    return x @ np.linalg.inv(b), b
+
+
+def _certified(g: np.ndarray, x: np.ndarray, sig: Signature, tol: float, step) -> DecompPair:
+    """The pair of ``g`` from ``step(x) = (s, b)``, accepted only when s is in
+    the SU(p, q) window of :func:`~supq.groups.is_member`.  Otherwise ``step``
+    runs once more on s, s <- s b2^{-1} and b <- b2 b, refining s itself
+    rather than starting again from g, which stalls at high cond(g).  The
+    determinant det(s) = det(g) / prod(a) is not judged again, so an s
+    accepted near the edge of the window can miss det 1 by about its defect."""
+    s, b = step(x)
+    if not _pseudo_unitary(s, sig, tol):
+        s, b2 = step(s)
+        b = b2 @ b
+        if not _pseudo_unitary(s, sig, tol):
+            gram, window = _unitary_defect(s, sig, tol)
+            raise NotDecomposable(
+                f"recovered factor failed the pseudo-unitarity check: defect {_frobenius(gram):.3e} > {window:.3e}",
+                index=int(np.argmax(np.linalg.norm(gram, axis=0))) + 1, kind="unitary_check",
+            )
     return DecompPair.of(g, s, b)
 
 
@@ -238,7 +267,8 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         If ``s`` is not in Q to tolerance, or is not admissible; the report
         is attached to NotAdmissible.
     NoConvergence
-        If exp of the result does not reproduce ``s`` to tolerance.
+        If exp of the result misses ``s`` by more than ``10 * max(tol,
+        kernel._rounding_bound(n)) * max(1, ||s||_F)``.
     """
     s = _require(s, GroupTag.Q, sig, tol)
     result = eig(s)
@@ -251,7 +281,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     X = 0.5 * (X + _dagger(X, sig.j_diag))
     X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
     defect = _frobenius(mat_exp(X) - s)
-    if defect > 10.0 * tol * max(1.0, _frobenius(s)):
+    if defect > 10.0 * max(tol, _rounding_bound(sig.n)) * max(1.0, _frobenius(s)):
         raise NoConvergence(f"log reconstruction defect {defect:.3e} exceeds tolerance")
     return X
 

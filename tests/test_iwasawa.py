@@ -368,11 +368,14 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
             if ref is not None:
                 assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref), (kind, n, p)
                 seen.add("accepted")
-                continue
-            with pytest.raises(refusal[0]) as exc:
-                iwasawa._gauss(g, sig, tol)
-            assert exc.value.index == refusal[1], (kind, n, p)
-            seen.add(refusal[0])
+            else:
+                seen.add(refusal[0])
+            # the route judges its pivots at the rounding bound, whatever tol is
+            ref, refusal = _loop_factor(jh, p, kernel._rounding_bound(n))
+            if ref is None:
+                with pytest.raises(refusal[0]) as exc:
+                    iwasawa._gauss(g, sig, tol)
+                assert exc.value.index == refusal[1], (kind, n, p)
     # at tol = 0 only an exactly vanishing pivot is singular
     assert seen == {"accepted", WrongInertia} | ({SingularMinor} if tol > 0 else set())
 
@@ -523,6 +526,97 @@ def test_unitary_check_reports_the_worst_column(monkeypatch):
     assert exc_info.value.kind == "unitary_check"
     assert exc_info.value.index == 3
     assert re.search(r"defect 9\.90\de-03 > \d\.\d{3}e-\d\d", str(exc_info.value))
+
+
+# Two reproducers of the CLI round trip in CI, as (signature, entries): the
+# s of Gauss on the first and of Gram-Schmidt on the second must be in G0.
+FAR_FROM_THE_IDENTITY = {
+    "gauss": (Signature(2, 1), [
+        [480.40133079890927 + 29.531923751556462j, -217.2564333565002 - 150.27736260752468j,
+         240.18832863112513 + 49.926651292546175j],
+        [0.01802810285033826 - 0.016897336371087788j, 0.036871519826093074 - 0.011529757856690456j,
+         0.008019269203131243 - 0.0008479319466467817j],
+        [0.022985688458278187 - 0.00018804049419769684j, -0.0026364310087222823 - 0.006077097115450086j,
+         0.049849582525083744 + 0.01100706592226556j],
+    ]),
+    "gs": (Signature(1, 2), [
+        [630.1624479967794 + 43.58231358204375j, -40.14507623058304 + 173.2183658157662j,
+         -301.09200920113784 - 86.94238427280239j],
+        [22.056515416163204 - 118.98766149511857j, 522.9412839427526 + 49.48596036860227j,
+         -50.073883760580166 - 69.68090967456185j],
+        [-2.3127280477417545e-06 + 7.535597890279846e-07j, 1.594780859604291e-07 - 1.1063784997460359e-06j,
+         4.254733158765621e-06 - 6.275535502502507e-07j],
+    ]),
+}
+
+
+@BOTH_ROUTES
+def test_returned_factor_of_a_far_element_is_in_g0(decompose):
+    sig, g = FAR_FROM_THE_IDENTITY["gauss" if decompose is decompose_gauss else "gs"]
+    pair = decompose(np.array(g), sig)
+    assert is_member(pair.s, GroupTag.G0, sig)
+    assert pair.residual <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("scale", [3.0, 5.0])
+def test_gs_returns_s_in_g0_or_refuses_it_at_large_exponents(scale):
+    # cond(g) reaches 1e9 at scale 3 and 1e17 at scale 5; one pass of the
+    # column loop leaves a defect of order eps cond(g) in s.  A refusal is
+    # allowed (at scale 5 the column test itself fails to rounding), but a
+    # returned s must be in G0
+    rng = np.random.default_rng(int(10 * scale))
+    returned = 0
+    for i in range(20):
+        n = (8, 16)[i % 2]
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        d = groups.random_admissible_diag(sig, rng, scale=scale)
+        g = d.exp_matrix() @ random_g0(sig, rng, spread=rng.uniform(0.1, 2.0))
+        try:
+            s = decompose_gs(g, sig).s
+        except NotDecomposable:
+            continue
+        assert is_member(s, GroupTag.G0, sig), (i, n)
+        returned += 1
+    assert returned >= 15
+
+
+def test_dress_far_from_the_identity_stays_in_g0():
+    rng = np.random.default_rng(206)
+    for i in range(60):
+        n = 2 + i % 5
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        b = random_admissible_an(sig, rng)
+        result = dress(b, random_g0(sig, rng, spread=6.0), sig)
+        assert is_member(result.g_prime, GroupTag.G0, sig), (i, n)
+
+
+def test_routes_take_one_step_on_well_conditioned_elements(monkeypatch):
+    # the second step is for high cond(g): on these elements the first
+    # step's s already passes the SU(p, q) window on both routes
+    steps = {"_gauss_step": 0, "_gs_step": 0}
+
+    def counting(name):
+        real = getattr(iwasawa, name)
+
+        def step(*args):
+            steps[name] += 1
+            return real(*args)
+
+        return step
+
+    for name in steps:
+        monkeypatch.setattr(iwasawa, name, counting(name))
+    rng = np.random.default_rng(2021)
+    for i in range(100):
+        n = 2 + i % 5
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        g = random_decomposable(sig, rng)
+        decompose_gauss(g, sig)
+        decompose_gs(g, sig)
+    assert steps == {"_gauss_step": 100, "_gs_step": 100}
 
 
 def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
@@ -740,6 +834,22 @@ def test_decompose_g_admissible_spectrum_is_descending_positive():
         assert np.all(spectrum > 0)
         assert np.all(np.diff(spectrum) <= 1e-12)
         np.testing.assert_allclose(s @ b, g, rtol=0, atol=1e-9 * np.linalg.norm(g))
+
+
+def test_admissibility_at_zero_tolerance():
+    # every window of the admissible layer is floored at the rounding bound,
+    # so tol = 0 judges the certificate, not the roundoff of a formed product
+    rng = np.random.default_rng(5)
+    for i in range(20):
+        n = 2 + i % 5
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        s = random_admissible_q(sig, rng)
+        assert check_admissible_q(s, sig, tol=0.0).admissible, (i, n)
+        X = q_log(s, sig, tol=0.0)
+        np.testing.assert_allclose(mat_exp(X), s, rtol=0, atol=1e-12 * np.linalg.norm(s))
+        g = random_decomposable(sig, rng)
+        decompose_g_admissible(g, sig, tol=0.0)
 
 
 def test_decompose_g_admissible_rejects_identity():
