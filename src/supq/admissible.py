@@ -13,8 +13,10 @@ clear the rounding bound of double precision.  For admissibility it is the
 definite pencil ``J(s - cI) > 0`` at the midpoint c of the gap, with
 ``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman, *Indefinite Linear
 Algebra and Its Applications*, 2005), and it is the only way to an
-admissible verdict: the labelling of eigenvectors by the pairing only names
-the refusal of an element it does not certify.  For cone preservation it is
+admissible verdict.  It proves the spectrum real, so it reads only the real
+parts of the eigenvalues; the eigenvectors, their labelling by the pairing
+and the imaginary parts only name the refusal of an element it does not
+certify.  For cone preservation it is
 the strict S-lemma ``s* J s - tau J > 0`` (Polik and Terlaky, SIAM
 Rev. 49(3), 2007); an element it does not settle goes on to the Monte-Carlo
 cone sampler.
@@ -32,7 +34,8 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, _rounding_bound, as_cmatrix, eig
+from .kernel import (DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, _rounding_bound, _spectrum,
+                     as_cmatrix, eig)
 
 #: Floor for the relative "eigendirection is pairing-null" threshold of the
 #: labelling, which names refusals and decides no verdict.  A defective
@@ -81,20 +84,23 @@ def is_admissible_diag(d, sig: Signature) -> bool:
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    Eigenvalues count as real when ``|imag| <= max(tol,
-    kernel._rounding_bound(n)) * (1 + |real|)``, so that ``tol = 0`` does
-    not judge the roundoff of ``eig``.  The
-    verdict is a certificate: with the real spectrum sorted descending and
-    positive as computed, ``s`` is admissible exactly when the gap
-    ``lambda_p - lambda_{p+1}`` exceeds ``tol * lambda_p``, ``J(s - cI)`` at
-    its midpoint c passes one Cholesky (:func:`_shift_certificate`) and the
-    blocked J-Cholesky of ``J s`` gives ``In(J s) = (p, q)``, both with every
-    pivot clearing the rounding bound ``kernel._rounding_bound(n)``.  These
-    tests are relative, so the verdict does not depend on the scale of the
+    The verdict is a certificate, read off the eigenvalues alone: with the
+    real parts ``lambda`` of the spectrum sorted descending and positive as
+    computed, ``s`` is admissible exactly when the gap ``lambda_p -
+    lambda_{p+1}`` exceeds ``tol * lambda_p``, ``J(s - cI)`` at its midpoint
+    c passes one Cholesky (:func:`_shift_certificate`) and the blocked
+    J-Cholesky of ``J s`` gives ``In(J s) = (p, q)``, both with every pivot
+    clearing the rounding bound ``kernel._rounding_bound(n)``.  A definite
+    ``J(s - cI)`` proves the spectrum real, so the imaginary parts that the
+    eigensolver leaves near a double eigenvalue decide nothing.  These tests
+    are relative, so the verdict does not depend on the scale of the
     entries, as far as the eigensolver resolves the smallest eigenvalue.
 
-    An element without a certificate is refused, and its eigenvectors are
-    labelled only to name the refusal: one Hermitian Gram matrix of the
+    An element without a certificate is refused, and only then are its
+    eigenpairs computed, to name the refusal.  Eigenvalues with ``|imag| >
+    max(tol, kernel._rounding_bound(n)) * (1 + |real|)`` name it "complex
+    eigenvalues"; that window only names a refusal.  Otherwise the
+    eigenvectors are labelled: one Hermitian Gram matrix of the
     indefinite pairing on all eigenvectors is re-diagonalized per block of
     a near-degenerate cluster, so each eigenvalue is attached to
     pairing-definite directions; a pairing-null direction gives "null
@@ -110,31 +116,36 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
         If ``s`` is not an n x n dagger-fixed matrix with unit determinant to tolerance.
     """
     s = _require(s, GroupTag.Q, sig, tol)
-    return _admissibility_report(eig(s), s, sig, tol)
+    return _admissibility_report(_spectrum(s)[0], s, sig, tol)
 
 
 def _admissibility_report(
-    result: EigenResult, s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False
+    vals: np.ndarray, s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False
 ) -> AdmissibilityReport:
-    """:func:`check_admissible_q`'s verdict from ``result = eig(s)`` of a validated or
-    library-built Q element s.  ``sylvester`` says that ``s = dagger(b) b``, so that
-    ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
-    vals, bound = result.values, _rounding_bound(sig.n)
-    if np.any(np.abs(vals.imag) > max(tol, bound) * (1.0 + np.abs(vals.real))):
-        return AdmissibilityReport(False, vals, reason="complex eigenvalues")
-    lam, p = vals.real, sig.p
+    """:func:`check_admissible_q`'s verdict from ``vals``, the eigenvalues of a validated
+    or library-built Q element s in :func:`~supq.kernel.eig`'s order.  The certificate
+    proves the spectrum real, so it reads only their real parts, which place its shift;
+    the imaginary parts decide nothing.  Only a refusal calls ``eig(s)``, whose eigenpairs
+    :func:`_labelled_report` names it from.  ``sylvester`` says that ``s = dagger(b) b``,
+    so that ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
+    lam, p, bound = vals.real, sig.p, _rounding_bound(sig.n)
     lo, hi = float(lam[p]), float(lam[p - 1])
     js = sig.j_diag[:, None] * s
     if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
             and (sylvester or _j_cholesky(js, p, bound) is not None)):
         return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
-    return _labelled_report(result, sig, tol)
+    return _labelled_report(eig(s), sig, tol)
 
 
 def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
-    """:func:`check_admissible_q`'s refusal of an uncertified spectrum real to ``tol``,
-    named from the eigenvectors' pairing labels; never admissible."""
+    """:func:`check_admissible_q`'s refusal of an element the certificate did not
+    prove, named from ``result = eig(s)``; never admissible.  The first name is
+    "complex eigenvalues", for an imaginary part above ``max(tol,
+    kernel._rounding_bound(n)) * (1 + |real|)``; that window only names the
+    refusal.  A spectrum real to it is named from the eigenvectors' pairing labels."""
     vals = result.values
+    if np.any(np.abs(vals.imag) > max(tol, _rounding_bound(sig.n)) * (1.0 + np.abs(vals.real))):
+        return AdmissibilityReport(False, vals, reason="complex eigenvalues")
     lam = vals.real
     if np.any(lam <= 0):
         return AdmissibilityReport(False, vals, reason="nonpositive eigenvalues")
@@ -181,7 +192,7 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     """
     b = _require(b, GroupTag.AN, sig, tol)
     h = _sym(b, sig.j_diag)
-    return _admissibility_report(eig(h), h, sig, tol, sylvester=True)
+    return _admissibility_report(_spectrum(h)[0], h, sig, tol, sylvester=True)
 
 
 def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:

@@ -38,7 +38,7 @@ from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import Signature, _cone_margins, _dagger, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, eig, mat_exp
 
 
 @dataclass
@@ -272,7 +272,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     s = _require(s, GroupTag.Q, sig, tol)
     result = eig(s)
-    report = _admissibility_report(result, s, sig, tol)
+    report = _admissibility_report(result.values, s, sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
     V = result.vectors
@@ -308,7 +308,7 @@ def decompose_g_admissible(
     """
     pair = decompose_gauss(g, sig, tol)
     h = _sym(pair.b, sig.j_diag)
-    report = _admissibility_report(eig(h), h, sig, tol, sylvester=True)
+    report = _admissibility_report(_spectrum(h)[0], h, sig, tol, sylvester=True)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
     spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))

@@ -95,6 +95,25 @@ def mat_exp(X) -> np.ndarray:
     return scipy.linalg.expm(X)
 
 
+def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """LAPACK's eigenvalues of a square, finite complex128 ``M``, sorted by
+    descending real part with ties broken by descending imaginary part, and,
+    when ``vectors`` is set, the unit eigenvectors as columns in the same
+    order (else None).  The eigensolver's size cap (:class:`DimensionMismatch`
+    above ``EIG_SIZE_CAP``) and its failure (:class:`NoConvergence`) live
+    here, for :func:`eig` and for the admissibility certificate, which needs
+    no vectors and no residual check because it proves the spectrum itself."""
+    n = M.shape[0]
+    if n > EIG_SIZE_CAP:
+        raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")
+    try:
+        vals, vecs = np.linalg.eig(M) if vectors else (np.linalg.eigvals(M), None)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
+    order = np.lexsort((-vals.imag, -vals.real))
+    return vals[order], None if vecs is None else vecs[:, order]
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Right eigenpairs of a square complex matrix.
@@ -129,19 +148,9 @@ def eig(M, tol_eig: float = DEFAULT_TOL_EIG) -> EigenResult:
         ``tol_eig * ||M||_F``.
     """
     M = as_cmatrix(M, square=True)
-    n = M.shape[0]
-    if n > EIG_SIZE_CAP:
-        raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")
-    try:
-        vals, vecs = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    vals, vecs = _spectrum(M, vectors=True)
     residuals = _frobenius(M @ vecs - vecs * vals, axis=0)
-    max_residual = float(residuals.max()) if n else 0.0
+    max_residual = float(residuals.max()) if vals.size else 0.0
     bound = tol_eig * _frobenius(M)
     if max_residual > bound:
         raise NoConvergence(

@@ -221,6 +221,16 @@ def test_unit_diagonal_triangular_is_never_admissible():
     assert not report.admissible
 
 
+@pytest.mark.parametrize("check", [check_admissible_q, check_admissible_an])
+@pytest.mark.parametrize("order", [1, -1], ids=["admissible", "gap_violated"])
+def test_admissibility_checks_keep_the_eigensolver_size_cap(check, order):
+    # diag(exp(d)) at n = 33 is in Q and in AN; the certificate could decide it,
+    # but the admissibility checks share the eigensolver's cap of n = 32
+    d = order * np.linspace(1.0, -1.0, 33)
+    with pytest.raises(DimensionMismatch, match="capped"):
+        check(np.diag(np.exp(d)), Signature(17, 16))
+
+
 # ---------------------------------------------------------------------------
 # cone preservation
 

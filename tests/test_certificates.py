@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from supq.admissible import (_admissibility_report, _cone_certificate, _cone_search, _labelled_report,
-                             _shift_certificate, check_admissible_q, cone_preservation_check)
+                             _shift_certificate, check_admissible_an, check_admissible_q, cone_preservation_check)
 from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
 from supq.errors import NotAdmissible
-from supq.iwasawa import q_log, sym
+from supq.iwasawa import dress, q_log, sym
 from supq.kernel import DEFAULT_TOL, _rounding_bound, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
+from supq.su11 import Su11ANElement, su11_an_admissible
 
 
 def _draws(seed, count, n_max=8):
@@ -34,7 +35,7 @@ def test_certified_reports_match_the_labelling():
     certified = 0
     for kind, sig, s, sylvester in _draws(2026, 600):
         result = eig(s)
-        report = _admissibility_report(result, s, sig, DEFAULT_TOL, sylvester)
+        report = _admissibility_report(result.values, s, sig, DEFAULT_TOL, sylvester)
         labelled = _labelled_report(result, sig, DEFAULT_TOL)
         assert not labelled.admissible
         assert report.admissible == (kind != "nonadmissible_q")
@@ -67,6 +68,29 @@ def test_widely_scaled_diagonal_is_certified_in_one_orientation_only():
         report = check_admissible_q(np.diag([1 / a, a]), Signature(1, 1))
         assert not report.admissible
         assert report.reason == "gap violated"
+
+
+@pytest.mark.parametrize("r", [18.2, 100.0])
+@pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_near_boundary_an_elements_follow_the_closed_form(r, delta):
+    # |n| a fraction delta inside r - 1/r: sym(b) is close to a double eigenvalue,
+    # so eig splits it with imaginary parts above the real-spectrum window, but the
+    # certificate proves the spectrum real and the element admissible
+    b = Su11ANElement(r, (r - 1 / r) * (1 - delta) * np.exp(0.7j))
+    assert su11_an_admissible(b)
+    assert check_admissible_an(b.as_matrix(), Signature(1, 1)).admissible
+
+
+def test_dressed_admissible_factors_are_certified():
+    # dressing preserves admissibility; far from the identity (spread 8) the
+    # dressed b' has cond 1e3..1e5 and eig gives its spectrum imaginary parts
+    # that the certificate does not read
+    rng = np.random.default_rng(108)
+    for _ in range(40):
+        sig = random_signature(rng, 6)
+        b = random_admissible_an(sig, rng)
+        b_prime = dress(b, random_g0(sig, rng, spread=8.0), sig).b_prime
+        assert check_admissible_an(b_prime, sig).admissible, sig
 
 
 def test_unipotent_q_element_is_never_admissible():
