@@ -115,19 +115,17 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     NotInQ
         If ``s`` is not an n x n dagger-fixed matrix with unit determinant to tolerance.
     """
-    s = _require(s, GroupTag.Q, sig, tol)
-    return _admissibility_report(_spectrum(s)[0], s, sig, tol)
+    return _admissibility_report(_require(s, GroupTag.Q, sig, tol), sig, tol)
 
 
-def _admissibility_report(
-    vals: np.ndarray, s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False
-) -> AdmissibilityReport:
-    """:func:`check_admissible_q`'s verdict from ``vals``, the eigenvalues of a validated
-    or library-built Q element s in :func:`~supq.kernel.eig`'s order.  The certificate
+def _admissibility_report(s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False) -> AdmissibilityReport:
+    """:func:`check_admissible_q`'s verdict on a validated or library-built Q element
+    ``s``, from its eigenvalues alone (:func:`~supq.kernel._spectrum`).  The certificate
     proves the spectrum real, so it reads only their real parts, which place its shift;
     the imaginary parts decide nothing.  Only a refusal calls ``eig(s)``, whose eigenpairs
     :func:`_labelled_report` names it from.  ``sylvester`` says that ``s = dagger(b) b``,
     so that ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
+    vals = _spectrum(s)[0]
     lam, p, bound = vals.real, sig.p, _rounding_bound(sig.n)
     lo, hi = float(lam[p]), float(lam[p - 1])
     js = sig.j_diag[:, None] * s
@@ -190,9 +188,7 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
         If ``b`` is not an n x n upper triangular matrix with positive real diagonal and
         unit determinant to tolerance.
     """
-    b = _require(b, GroupTag.AN, sig, tol)
-    h = _sym(b, sig.j_diag)
-    return _admissibility_report(_spectrum(h)[0], h, sig, tol, sylvester=True)
+    return _admissibility_report(_sym(_require(b, GroupTag.AN, sig, tol), sig.j_diag), sig, tol, sylvester=True)
 
 
 def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:

@@ -38,7 +38,7 @@ from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import Signature, _cone_margins, _dagger, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, eig, mat_exp
+from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, mat_exp
 
 
 @dataclass
@@ -257,9 +257,14 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
 def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Logarithm of an admissible dagger-fixed matrix.
 
-    Computed through the eigendecomposition (admissible implies real
-    positive spectrum and a well-conditioned eigenbasis), then projected
-    back onto the traceless dagger-fixed subspace to clear rounding.
+    The verdict is :func:`~supq.admissible.check_admissible_q`'s, reached
+    through the same call; an admissible s has a real positive spectrum.
+    Only then are its eigenpairs computed, and the log is taken through
+    them, then projected back onto the traceless dagger-fixed subspace to
+    clear rounding.  The eigenpairs of the small eigenvalues carry an
+    absolute error of order eps ||s||, so at wide spectra (exponents spread
+    over tens of units) exp of the result can miss ``s``, and the call
+    raises NoConvergence rather than return that log.
 
     Raises
     ------
@@ -271,12 +276,11 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         kernel._rounding_bound(n)) * max(1, ||s||_F)``.
     """
     s = _require(s, GroupTag.Q, sig, tol)
-    result = eig(s)
-    report = _admissibility_report(result.values, s, sig, tol)
+    report = _admissibility_report(s, sig, tol)
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
-    V = result.vectors
-    logw = np.log(result.values.real)
+    vals, V = _spectrum(s, vectors=True)
+    logw = np.log(vals.real)
     X = np.linalg.solve(V.T, (V * logw).T).T
     X = 0.5 * (X + _dagger(X, sig.j_diag))
     X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
@@ -307,9 +311,8 @@ def decompose_g_admissible(
         If the triangular factor fails the admissibility check.
     """
     pair = decompose_gauss(g, sig, tol)
-    h = _sym(pair.b, sig.j_diag)
-    report = _admissibility_report(_spectrum(h)[0], h, sig, tol, sylvester=True)
+    report = _admissibility_report(_sym(pair.b, sig.j_diag), sig, tol, sylvester=True)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
-    spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))
+    spectrum = np.sqrt(report.eigenvalues.real)
     return pair.s, pair.b, spectrum

@@ -101,8 +101,10 @@ def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndar
     when ``vectors`` is set, the unit eigenvectors as columns in the same
     order (else None).  The eigensolver's size cap (:class:`DimensionMismatch`
     above ``EIG_SIZE_CAP``) and its failure (:class:`NoConvergence`) live
-    here, for :func:`eig` and for the admissibility certificate, which needs
-    no vectors and no residual check because it proves the spectrum itself."""
+    here, for :func:`eig`, for the admissibility certificate, which needs
+    no vectors and no residual check because it proves the spectrum itself,
+    and for the eigenpairs of ``q_log``, which its reconstruction window
+    judges."""
     n = M.shape[0]
     if n > EIG_SIZE_CAP:
         raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")

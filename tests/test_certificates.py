@@ -35,7 +35,7 @@ def test_certified_reports_match_the_labelling():
     certified = 0
     for kind, sig, s, sylvester in _draws(2026, 600):
         result = eig(s)
-        report = _admissibility_report(result.values, s, sig, DEFAULT_TOL, sylvester)
+        report = _admissibility_report(s, sig, DEFAULT_TOL, sylvester)
         labelled = _labelled_report(result, sig, DEFAULT_TOL)
         assert not labelled.admissible
         assert report.admissible == (kind != "nonadmissible_q")

@@ -22,7 +22,7 @@ from supq.errors import (
     SingularMinor,
     WrongInertia,
 )
-from supq.groups import GroupTag, is_member, random_an, random_g0
+from supq.groups import GroupTag, is_member, random_admissible_diag, random_an, random_g0
 from supq.indefinite import Signature, dagger, norm_sq, pairing
 from supq.iwasawa import (
     decompose_g_admissible,
@@ -38,6 +38,7 @@ from supq.selftest import (
     random_admissible_q,
     random_cell_crossed,
     random_decomposable,
+    random_signature,
 )
 
 SIG11 = Signature(1, 1)
@@ -648,9 +649,9 @@ def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
 # Determinant windows (the SVD + LU of groups._det_is_one),
 # eigendecompositions and kernel.as_cmatrix conversions per public call at
 # n = 4: each input is converted and validated once, and no intermediate the
-# library built is validated again, except where q_log's eig and mat_exp
-# re-check their argument.  A certified admissibility verdict reads
-# eigenvalues only, so it calls no eig.
+# library built is validated again, except where q_log's mat_exp re-checks
+# its argument.  A certified admissibility verdict reads eigenvalues only,
+# so it calls no eig.
 VALIDATION_BUDGET = {
     "dress": (2, 0, 2),
     "decompose_gauss": (1, 0, 1),
@@ -659,7 +660,7 @@ VALIDATION_BUDGET = {
     "check_admissible_an": (1, 0, 1),
     "check_admissible_q": (1, 0, 1),
     "decompose_g_admissible": (1, 0, 1),
-    "q_log": (1, 1, 3),
+    "q_log": (1, 0, 2),
 }
 
 
@@ -691,9 +692,7 @@ def test_public_calls_validate_once(monkeypatch, name):
         return wrapper
 
     monkeypatch.setattr(groups, "_det_is_one", counting("det", groups._det_is_one))
-    counted_eig = counting("eig", iwasawa.eig)
-    monkeypatch.setattr(iwasawa, "eig", counted_eig)
-    monkeypatch.setattr(admissible, "eig", counted_eig)
+    monkeypatch.setattr(admissible, "eig", counting("eig", admissible.eig))
     as_cmatrix = kernel.as_cmatrix
     counted_as_cmatrix = counting("as_cmatrix", as_cmatrix)
     for modname, module in list(sys.modules.items()):
@@ -799,6 +798,50 @@ def test_q_log_rejects_identity_with_report():
         q_log(np.eye(2), SIG11)
     assert exc_info.value.report is not None
     assert exc_info.value.report.reason == "gap violated"
+
+
+def test_q_log_refusal_computes_the_eigenpairs_once(monkeypatch):
+    # the verdict reads eigenvalues only; the refusal's name takes one eig
+    calls = []
+    linalg_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M) or linalg_eig(M))
+    with pytest.raises(NotAdmissible, match="gap violated"):
+        q_log(np.diag([0.5, 2.0]).astype(complex), SIG11)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sd", [4, 6, 8])
+def test_q_log_on_graded_spectra(sd):
+    # s = dagger(g) exp(D) g has the exact log dagger(g) D g.  Its eigenpairs
+    # carry an absolute error of order eps ||s||, so at wide spectra the
+    # small eigenvalues' log misses and q_log refuses through its
+    # reconstruction window instead of returning an inaccurate X
+    rng = np.random.default_rng(2300 + sd)
+    returned = 0
+    for _ in range(300):
+        sig = random_signature(rng, 6)
+        d = random_admissible_diag(sig, rng, scale=sd)
+        g = random_g0(sig, rng)
+        s = dagger(g, sig) @ d.exp_matrix() @ g
+        exact = dagger(g, sig) @ np.diag(np.array(d.lambdas + d.mus, dtype=complex)) @ g
+        try:
+            report = check_admissible_q(s, sig)
+        except NotInQ:
+            with pytest.raises(NotInQ):
+                q_log(s, sig)
+            continue
+        try:
+            X = q_log(s, sig)
+        except NotAdmissible as exc:
+            assert not report.admissible and exc.report.reason == report.reason
+            continue
+        except NoConvergence as exc:
+            assert report.admissible and "log reconstruction defect" in str(exc)
+            continue
+        assert report.admissible
+        assert np.linalg.norm(X - exact) <= 1e-7 * max(1.0, np.linalg.norm(exact))
+        returned += 1
+    assert returned > 0
 
 
 def test_q_log_reports_a_missed_reconstruction(monkeypatch):
