@@ -10,13 +10,14 @@ exactly when its symmetrization dagger(b) b is.
 Both verdicts here rest on a certificate: one Cholesky of a shifted
 Hermitian matrix ``H - t J`` (:func:`_shift_certificate`) whose pivots
 clear the rounding bound of double precision.  For admissibility it is the
-definite pencil ``J(s - cI) > 0`` at the midpoint c of the gap, with
+definite pencil ``J(s - cI) > 0`` at the midpoint c > 0 of the gap, with
 ``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman, *Indefinite Linear
 Algebra and Its Applications*, 2005), and it is the only way to an
-admissible verdict.  It proves the spectrum real, so it reads only the real
-parts of the eigenvalues; the eigenvectors, their labelling by the pairing
-and the imaginary parts only name the refusal of an element it does not
-certify.  For cone preservation it is
+admissible verdict.  It proves the spectrum real and positive, so the
+eigenvalues only say where to shift: the verdict reads no eigenvalue's sign
+and no imaginary part.  The eigenvectors, their labelling by the pairing,
+and the imaginary parts and signs of the eigenvalues only name the refusal
+of an element it does not certify.  For cone preservation it is
 the strict S-lemma ``s* J s - tau J > 0`` (Polik and Terlaky, SIAM
 Rev. 49(3), 2007); an element it does not settle goes on to the Monte-Carlo
 cone sampler.
@@ -56,7 +57,10 @@ class AdmissibilityReport:
     eigenvectors (repeated eigenvalues appear once per attached eigenvector);
     a "null eigenvector" verdict carries the labels read before the null
     direction.  ``margin`` is min(timelike) - max(spacelike) when both
-    families are present, else 0.  ``reason`` is "admissible" for a
+    families are present, else 0; for a certified element it is the width
+    of the certified gap, ``lambda_p - max(0, lambda_{p+1})``, and the
+    reported eigenvalues may read <= 0 where the eigensolver lost a small
+    one.  ``reason`` is "admissible" for a
     certified element; otherwise it names the refusal: "complex
     eigenvalues", "nonpositive eigenvalues", "null eigenvector", "inertia
     mismatch: ...", "gap violated" (margin <= 0) or "gap not certified",
@@ -84,17 +88,20 @@ def is_admissible_diag(d, sig: Signature) -> bool:
 def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
     """Admissibility of a dagger-fixed matrix.
 
-    The verdict is a certificate, read off the eigenvalues alone: with the
-    real parts ``lambda`` of the spectrum sorted descending and positive as
-    computed, ``s`` is admissible exactly when the gap ``lambda_p -
-    lambda_{p+1}`` exceeds ``tol * lambda_p``, ``J(s - cI)`` at its midpoint
-    c passes one Cholesky (:func:`_shift_certificate`) and the blocked
-    J-Cholesky of ``J s`` gives ``In(J s) = (p, q)``, both with every pivot
-    clearing the rounding bound ``kernel._rounding_bound(n)``.  A definite
-    ``J(s - cI)`` proves the spectrum real, so the imaginary parts that the
-    eigensolver leaves near a double eigenvalue decide nothing.  These tests
-    are relative, so the verdict does not depend on the scale of the
-    entries, as far as the eigensolver resolves the smallest eigenvalue.
+    The verdict is a certificate, which reads the eigenvalues only to place
+    its shift: with the real parts ``lambda`` of the spectrum sorted
+    descending and the gap ``(lo, hi) = (max(0, lambda_{p+1}), lambda_p)``,
+    ``s`` is admissible exactly when ``lo < hi``, the gap ``hi - lo``
+    exceeds ``tol * hi``, ``J(s - cI)`` at the midpoint ``c > 0`` passes
+    one Cholesky (:func:`_shift_certificate`) and the blocked J-Cholesky of
+    ``J s`` gives ``In(J s) = (p, q)``, both with every pivot clearing the
+    rounding bound ``kernel._rounding_bound(n)``.  A definite ``J(s - cI)`` proves the
+    spectrum real, with the p timelike values above c and the q spacelike
+    ones below it, and the inertia then proves the spacelike ones positive.
+    So neither the imaginary parts that the eigensolver leaves near a double
+    eigenvalue nor the sign of a small eigenvalue that it loses decides
+    anything.  These tests are relative, so the verdict does not depend on
+    the scale of the entries while the shift and ``J s`` are finite.
 
     An element without a certificate is refused, and only then are its
     eigenpairs computed, to name the refusal.  Eigenvalues with ``|imag| >
@@ -121,15 +128,16 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
 def _admissibility_report(s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False) -> AdmissibilityReport:
     """:func:`check_admissible_q`'s verdict on a validated or library-built Q element
     ``s``, from its eigenvalues alone (:func:`~supq.kernel._spectrum`).  The certificate
-    proves the spectrum real, so it reads only their real parts, which place its shift;
-    the imaginary parts decide nothing.  Only a refusal calls ``eig(s)``, whose eigenpairs
+    proves the spectrum real and positive, so it reads only their real parts, which
+    place its shift in ``(max(0, lambda_{p+1}), lambda_p)``; neither the imaginary parts
+    nor the signs decide anything.  Only a refusal calls ``eig(s)``, whose eigenpairs
     :func:`_labelled_report` names it from.  ``sylvester`` says that ``s = dagger(b) b``,
     so that ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
     vals = _spectrum(s)[0]
     lam, p, bound = vals.real, sig.p, _rounding_bound(sig.n)
-    lo, hi = float(lam[p]), float(lam[p - 1])
+    lo, hi = max(0.0, float(lam[p])), float(lam[p - 1])
     js = sig.j_diag[:, None] * s
-    if (lam[-1] > 0 and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
+    if (lo < hi and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
             and (sylvester or _j_cholesky(js, p, bound) is not None)):
         return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
     return _labelled_report(eig(s), sig, tol)

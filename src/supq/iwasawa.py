@@ -261,7 +261,10 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     through the same call; an admissible s has a real positive spectrum.
     Only then are its eigenpairs computed, and the log is taken through
     them, then projected back onto the traceless dagger-fixed subspace to
-    clear rounding.  The eigenpairs of the small eigenvalues carry an
+    clear rounding.  The certificate reads no eigenvalue's sign, so an
+    eigensolver that returns a small eigenvalue as 0 or below (as for
+    ``diag(1e250, 1e-250)``) leaves no log to take, and the call raises
+    NoConvergence.  The eigenpairs of the small eigenvalues carry an
     absolute error of order eps ||s||, so at wide spectra (exponents spread
     over tens of units) exp of the result can miss ``s``, and the call
     raises NoConvergence rather than return that log.
@@ -272,7 +275,8 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         If ``s`` is not in Q to tolerance, or is not admissible; the report
         is attached to NotAdmissible.
     NoConvergence
-        If exp of the result misses ``s`` by more than ``10 * max(tol,
+        If the eigensolver returns an eigenvalue <= 0 of an admissible ``s``,
+        or if exp of the result misses ``s`` by more than ``10 * max(tol,
         kernel._rounding_bound(n)) * max(1, ||s||_F)``.
     """
     s = _require(s, GroupTag.Q, sig, tol)
@@ -280,6 +284,8 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
     vals, V = _spectrum(s, vectors=True)
+    if vals.real[-1] <= 0:
+        raise NoConvergence(f"the eigensolver lost an eigenvalue of this admissible element: {vals.real[-1]:.3e}")
     logw = np.log(vals.real)
     X = np.linalg.solve(V.T, (V * logw).T).T
     X = 0.5 * (X + _dagger(X, sig.j_diag))
@@ -301,7 +307,8 @@ def decompose_g_admissible(
     spectrum lists the square roots of the eigenvalues of dagger(g) g in
     descending order (real and positive in the admissible case).  They are
     read off the admissibility report of sym(b) = dagger(b) b, which equals
-    dagger(g) g because dagger(s) s = I.
+    dagger(g) g because dagger(s) s = I; an eigenvalue that the eigensolver
+    returns <= 0 (lost below the rounding of the largest) reads 0.
 
     Raises
     ------
@@ -310,9 +317,9 @@ def decompose_g_admissible(
     NotAdmissible
         If the triangular factor fails the admissibility check.
     """
-    pair = decompose_gauss(g, sig, tol)
+    pair = _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
     report = _admissibility_report(_sym(pair.b, sig.j_diag), sig, tol, sylvester=True)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
-    spectrum = np.sqrt(report.eigenvalues.real)
+    spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))
     return pair.s, pair.b, spectrum

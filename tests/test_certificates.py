@@ -9,7 +9,7 @@ from supq.admissible import (_admissibility_report, _cone_certificate, _cone_sea
                              _shift_certificate, check_admissible_an, check_admissible_q, cone_preservation_check)
 from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
-from supq.errors import NotAdmissible
+from supq.errors import NoConvergence, NonFiniteInput, NotAdmissible
 from supq.iwasawa import dress, q_log, sym
 from supq.kernel import DEFAULT_TOL, _rounding_bound, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
@@ -104,13 +104,41 @@ def test_unipotent_q_element_is_never_admissible():
 
 
 def test_q_log_of_a_widely_scaled_diagonal():
-    # certified up to where the eigensolver resolves the small eigenvalue; the
+    # logged up to where the eigensolver resolves the small eigenvalue; the
     # reconstruction check's norm overflows past 1e154 and stays quiet
     for e in (10, 100, 200):
         X = q_log(np.diag([10.0**e, 10.0**-e]), Signature(1, 1))
         np.testing.assert_allclose(np.diagonal(X).real, [e * np.log(10), -e * np.log(10)], rtol=1e-14)
-    with pytest.raises(NotAdmissible, match="nonpositive eigenvalues"):
-        q_log(np.diag([1e250, 1e-250]), Signature(1, 1))  # eig returns 0 for 1e-250
+    # admissible, but eig returns 0 for 1e-250, which has no log
+    with pytest.raises(NoConvergence, match="lost an eigenvalue"):
+        q_log(np.diag([1e250, 1e-250]), Signature(1, 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_elements_follow_the_closed_form_at_every_scale():
+    # [[r, n], [0, 1/r]] is admissible exactly when |n| < r - 1/r; from r = 10^4.25
+    # eig loses the small eigenvalue of the formed sym(b), about 1/r^2, and may
+    # return it <= 0, but the verdict reads only the certified shift and inertia
+    rng = np.random.default_rng(24)
+    sig = Signature(1, 1)
+    for r in 10.0 ** np.arange(0.25, 50.125, 0.25):
+        for f in (0.5, 0.9, 0.999, 0.999999, 1 + 1e-9, 1.000001, 1.001, 1.1, 2.0):
+            b = Su11ANElement(r, f * (r - 1 / r) * np.exp(2j * np.pi * rng.random()))
+            assert su11_an_admissible(b) == (f < 1)
+            assert check_admissible_an(b.as_matrix(), sig).admissible == (f < 1), (r, f)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_widely_scaled_diagonals_are_certified_to_the_float_range():
+    # diag(10^e, 10^-e) is admissible at every e > 0; eig returns 0 for the small
+    # eigenvalue from e = 231 in Q and, of the squared sym(b), from e = 116 in AN
+    sig = Signature(1, 1)
+    for e in range(1, 308):
+        assert check_admissible_q(np.diag([10.0**e, 10.0**-e]), sig).admissible, e
+    for e in range(1, 155):
+        assert check_admissible_an(np.diag([10.0**e, 10.0**-e]), sig).admissible, e
+    with pytest.raises(NonFiniteInput):
+        check_admissible_an(np.diag([1e155, 1e-155]), sig)  # sym(b) overflows
 
 
 def _near_boundary_q(sig, rng, gap):

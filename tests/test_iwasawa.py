@@ -234,6 +234,36 @@ def test_cell_crossed_pivot_is_located():
         assert exc_info.value.kind in {"wrong_cone", "null_boundary"}
 
 
+def _cell_boundary(rng, delta):
+    """An element of SL(n, C), 3 <= n <= 6, hiding a 2x2 block with |a| = (1 + delta) |c|
+    that bridges a timelike and a spacelike index: decomposable exactly when delta > 0."""
+    n = int(rng.integers(3, 7))
+    p = int(rng.integers(1, n))
+    sig = Signature(p, n - p)
+    c = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    a = (1 + delta) * abs(c) * np.exp(2j * np.pi * rng.random())
+    b = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    i0, j0 = int(rng.integers(0, p)), int(rng.integers(p, n))
+    E = np.eye(n, dtype=complex)
+    E[i0, i0], E[i0, j0], E[j0, i0], E[j0, j0] = a, b, c, (1.0 + b * c) / a
+    return random_g0(sig, rng, 0.5) @ E @ random_an(sig, rng, 0.5), sig
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-11, 1e-13, 1e-15, -1e-15, -1e-13, -1e-11, -1e-9])
+def test_gs_null_test_at_tol_never_misnames_a_boundary_element(delta):
+    # GS judges a residual null at tol, not at the rounding bound: at the rounding
+    # bound it names decomposable elements with delta = 1e-11..1e-13 wrong_cone
+    rng = np.random.default_rng(int(-np.log10(abs(delta))) + (delta > 0))
+    for _ in range(200):
+        g, sig = _cell_boundary(rng, delta)
+        try:
+            decompose_gs(g, sig)
+        except NotDecomposable as exc:
+            assert delta < 0 or exc.kind != "wrong_cone"
+        else:
+            assert delta > 0
+
+
 # det-1 rescaling of P diag(sqrt|d|) L* in SU(1,2), with L = [[1, 0, 0],
 # [0.5, 1, 0], [0.25, 0.5, 1]], d = (-1, 1, -1e-13) and P swapping rows 1
 # and 2: pivot 1 has the wrong sign, pivot 3 is singular to tolerance.
@@ -878,6 +908,17 @@ def test_decompose_g_admissible_spectrum_is_descending_positive():
         assert np.all(spectrum > 0)
         assert np.all(np.diff(spectrum) <= 1e-12)
         np.testing.assert_allclose(s @ b, g, rtol=0, atol=1e-9 * np.linalg.norm(g))
+
+
+def test_decompose_g_admissible_reads_a_lost_singular_value_as_zero():
+    # admissible by the 2x2 closed form; eig returns the small eigenvalue of
+    # sym(b), about 1/r^2, below 0, which the certificate does not read
+    r = 1.7246723014963083e108
+    g = np.array([[r, 3.725037974863545e-109 + 9.366165713310052e-109j], [0, 1 / r]])
+    s, b, spectrum = decompose_g_admissible(g, SIG11)
+    np.testing.assert_allclose(b, g, rtol=1e-12)
+    assert spectrum[0] == pytest.approx(r, rel=1e-12)
+    assert 0 <= spectrum[1] <= 1e-8 / r
 
 
 def test_admissibility_at_zero_tolerance():
