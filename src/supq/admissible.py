@@ -7,26 +7,31 @@ carried by timelike eigenvectors and q values carried by spacelike ones,
 with min(timelike) > max(spacelike).  A triangular factor b is admissible
 exactly when its symmetrization dagger(b) b is.
 
-Both verdicts here rest on a certificate: one Cholesky of a shifted
-Hermitian matrix ``H - t J`` (:func:`_shift_certificate`) whose pivots
-clear the rounding bound of double precision.  For admissibility it is the
-definite pencil ``J(s - cI) > 0`` at the midpoint c > 0 of the gap, with
-``In(J s) = (p, q)`` (Gohberg, Lancaster and Rodman, *Indefinite Linear
-Algebra and Its Applications*, 2005), and it is the only way to an
-admissible verdict.  It proves the spectrum real and positive, so the
-eigenvalues only say where to shift: the verdict reads no eigenvalue's sign
-and no imaginary part.  The eigenvectors, their labelling by the pairing,
-and the imaginary parts and signs of the eigenvalues only name the refusal
-of an element it does not certify.  For cone preservation it is
-the strict S-lemma ``s* J s - tau J > 0`` (Polik and Terlaky, SIAM
-Rev. 49(3), 2007); an element it does not settle goes on to the Monte-Carlo
-cone sampler.
+Both verdicts here rest on one certificate, :func:`_gap_certificate`: a
+Hermitian pencil ``(H, J)`` is positive definite at the positive midpoint
+t of the gap at index p of its sorted spectrum, proved by one Cholesky of
+``H - t J`` whose pivots clear the rounding bound of double precision.
+For admissibility the pencil is ``(J s, J)``, so the certificate is the
+definite pencil ``J(s - cI) > 0``, with ``In(J s) = (p, q)`` (Gohberg,
+Lancaster and Rodman, *Indefinite Linear Algebra and Its Applications*,
+2005), and it is the only way to an admissible verdict.  It proves the
+spectrum real and positive, so the eigenvalues only say where to shift:
+the verdict reads no eigenvalue's sign and no imaginary part.  The
+eigenvectors, their labelling by the pairing, and the imaginary parts and
+signs of the eigenvalues only name the refusal of an element it does not
+certify.  For cone preservation the pencil is ``(s* J s, J)``, so the
+certificate is the strict S-lemma ``s* J s - tau J > 0`` (Polik and
+Terlaky, SIAM Rev. 49(3), 2007); an element it does not settle goes on to
+the Monte-Carlo cone sampler.  Every eigensolve here is
+:func:`~supq.kernel._spectrum`'s, so all three calls share the
+eigensolver's cap of n = 32.
 
 Also here: the pseudo Rayleigh quotient and leading principal minors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +40,7 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import (DEFAULT_TOL, EigenResult, _definite, _j_cholesky, _quiet, _rounding_bound, _spectrum,
-                     as_cmatrix, eig)
+from .kernel import DEFAULT_TOL, _definite, _j_cholesky, _quiet, _rounding_bound, _spectrum, as_cmatrix
 
 #: Floor for the relative "eigendirection is pairing-null" threshold of the
 #: labelling, which names refusals and decides no verdict.  A defective
@@ -77,10 +81,13 @@ class AdmissibilityReport:
 
 
 def is_admissible_diag(d, sig: Signature) -> bool:
-    """True when min of the first p entries strictly exceeds max of the rest."""
+    """True when min of the first p entries strictly exceeds max of the rest;
+    NonFiniteInput for a NaN or Inf entry."""
     v = np.asarray(d, dtype=float)
     if v.ndim != 1 or v.shape[0] != sig.n:
         raise DimensionMismatch(f"expected {sig.n} real entries")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("exponents contain NaN or Inf entries")
     return bool(v[: sig.p].min() > v[sig.p :].max())
 
 
@@ -93,7 +100,7 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     descending and the gap ``(lo, hi) = (max(0, lambda_{p+1}), lambda_p)``,
     ``s`` is admissible exactly when ``lo < hi``, the gap ``hi - lo``
     exceeds ``tol * hi``, ``J(s - cI)`` at the midpoint ``c > 0`` passes
-    one Cholesky (:func:`_shift_certificate`) and the blocked J-Cholesky of
+    one Cholesky (:func:`_gap_certificate`) and the blocked J-Cholesky of
     ``J s`` gives ``In(J s) = (p, q)``, both with every pivot clearing the
     rounding bound ``kernel._rounding_bound(n)``.  A definite ``J(s - cI)`` proves the
     spectrum real, with the p timelike values above c and the q spacelike
@@ -127,29 +134,27 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
 
 def _admissibility_report(s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False) -> AdmissibilityReport:
     """:func:`check_admissible_q`'s verdict on a validated or library-built Q element
-    ``s``, from its eigenvalues alone (:func:`~supq.kernel._spectrum`).  The certificate
-    proves the spectrum real and positive, so it reads only their real parts, which
-    place its shift in ``(max(0, lambda_{p+1}), lambda_p)``; neither the imaginary parts
-    nor the signs decide anything.  Only a refusal calls ``eig(s)``, whose eigenpairs
-    :func:`_labelled_report` names it from.  ``sylvester`` says that ``s = dagger(b) b``,
-    so that ``In(J s) = In(b* J b) = (p, q)`` needs no J-Cholesky."""
+    ``s``, from its eigenvalues alone (:func:`~supq.kernel._spectrum`): the pencil
+    ``(J s, J)`` passes :func:`_gap_certificate` at ``rel = tol``, whose width is the
+    margin, and ``In(J s) = (p, q)``.  Only a refusal computes the eigenvectors,
+    through the same ``_spectrum``, and :func:`_labelled_report` names it from them.
+    ``sylvester`` says that ``s = dagger(b) b``, so that ``In(J s) = In(b* J b) =
+    (p, q)`` needs no J-Cholesky."""
     vals = _spectrum(s)[0]
-    lam, p, bound = vals.real, sig.p, _rounding_bound(sig.n)
-    lo, hi = max(0.0, float(lam[p])), float(lam[p - 1])
-    js = sig.j_diag[:, None] * s
-    if (lo < hi and hi - lo > tol * hi and _shift_certificate(js, sig.J, lo, hi, bound)
-            and (sylvester or _j_cholesky(js, p, bound) is not None)):
-        return AdmissibilityReport(True, vals, lam[:p].tolist(), lam[p:].tolist(), hi - lo, "admissible")
-    return _labelled_report(eig(s), sig, tol)
+    js, p = sig.j_diag[:, None] * s, sig.p
+    margin = _gap_certificate(js, vals, sig, tol)
+    if margin and (sylvester or _j_cholesky(js, p, _rounding_bound(sig.n)) is not None):
+        return AdmissibilityReport(True, vals, vals.real[:p].tolist(), vals.real[p:].tolist(), margin, "admissible")
+    return _labelled_report(*_spectrum(s, vectors=True), sig, tol)
 
 
-def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> AdmissibilityReport:
+def _labelled_report(vals: np.ndarray, V: np.ndarray, sig: Signature, tol: float) -> AdmissibilityReport:
     """:func:`check_admissible_q`'s refusal of an element the certificate did not
-    prove, named from ``result = eig(s)``; never admissible.  The first name is
-    "complex eigenvalues", for an imaginary part above ``max(tol,
-    kernel._rounding_bound(n)) * (1 + |real|)``; that window only names the
-    refusal.  A spectrum real to it is named from the eigenvectors' pairing labels."""
-    vals = result.values
+    prove, named from its eigenpairs ``vals, V = kernel._spectrum(s, vectors=True)``;
+    never admissible.  The first name is "complex eigenvalues", for an imaginary part
+    above ``max(tol, kernel._rounding_bound(n)) * (1 + |real|)``; that window only
+    names the refusal.  A spectrum real to it is named from the eigenvectors' pairing
+    labels."""
     if np.any(np.abs(vals.imag) > max(tol, _rounding_bound(sig.n)) * (1.0 + np.abs(vals.real))):
         return AdmissibilityReport(False, vals, reason="complex eigenvalues")
     lam = vals.real
@@ -161,7 +166,6 @@ def _labelled_report(result: EigenResult, sig: Signature, tol: float) -> Admissi
     # tridiagonal solver splits there, so each eigh direction lies in one block, named by
     # its largest entry.  Directions are read in (cluster, ascending gamma) order.
     cluster = np.concatenate(([0], np.cumsum(lam[:-1] - lam[1:] > tol * (1.0 + np.abs(lam[1:])))))
-    V = result.vectors
     gram = np.where(cluster[:, None] == cluster, V.conj().T @ (sig.j_diag[:, None] * V), 0.0)
     gamma, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     owner = cluster[np.argmax(np.abs(U), axis=0)]
@@ -199,14 +203,21 @@ def check_admissible_an(b, sig: Signature, tol: float = DEFAULT_TOL) -> Admissib
     return _admissibility_report(_sym(_require(b, GroupTag.AN, sig, tol), sig.j_diag), sig, tol, sylvester=True)
 
 
-def _shift_certificate(H: np.ndarray, J: np.ndarray, lo: float, hi: float, tol: float) -> bool:
-    """True when ``A = H - t J``, ``t = (lo + hi) / 2``, is :func:`~supq.kernel._definite`
-    to ``tol`` at the magnitudes before the shift, the scale ``|H_kk| + |t|``: both
-    certificates pass the rounding bound, so A is positive definite with each pivot's
-    sign determined in double precision, at every scale.  H is Hermitian to roundoff;
-    the Cholesky reads its lower triangle."""
+def _gap_certificate(H: np.ndarray, vals: np.ndarray, sig: Signature, rel: float) -> float:
+    """The certified width ``hi - lo`` of the gap ``(lo, hi) = (max(0, Re vals[p]),
+    Re vals[p-1])`` of the pencil ``(H, J)``, whose spectrum ``vals`` is sorted by
+    descending real part, else 0.  Certified means ``lo < hi``, ``hi - lo > rel * hi``
+    and ``H - t J`` at the midpoint ``t > 0`` is :func:`~supq.kernel._definite` to the
+    rounding bound at the magnitudes before the shift, the scale ``|H_kk| + t``: then
+    the pencil is definite, with each pivot's sign determined in double precision at
+    every scale, so its spectrum is real with p values above t and q below it.  H is
+    Hermitian to roundoff; the Cholesky reads its lower triangle."""
+    lo, hi = max(0.0, float(vals[sig.p].real)), float(vals[sig.p - 1].real)
     t = 0.5 * (lo + hi)
-    return _definite(H - t * J, abs(H.diagonal().real) + abs(t), tol) is not None
+    if lo < hi and hi - lo > rel * hi and _definite(
+            H - t * sig.J, abs(H.diagonal().real) + t, _rounding_bound(sig.n)) is not None:
+        return hi - lo
+    return 0.0
 
 
 @_quiet
@@ -216,23 +227,30 @@ def cone_preservation_check(
     """Whether ``s`` maps the closed timelike cone minus 0 into the open one:
     every image of a timelike or null ``x`` classifies as timelike.
 
-    First a certificate, the strict S-lemma: with ``M = s* (J - tol I) s``
+    ``trials`` and ``seed`` are checked first: a non-integer raises
+    TypeError, and ``trials`` below 1 or ``seed`` below 0 raises ValueError
+    (a search without a draw would return True on no evidence).
+
+    Then a certificate, the strict S-lemma: with ``M = s* (J - tol I) s``
     finite and ``tau`` the midpoint of ``(max(0, w_{p+1}), w_p)`` of the
-    sorted real spectrum w of ``J M``, a Cholesky of ``M - tau J``
-    (:func:`_shift_certificate`) proves ``<y, y> > tol ||y||^2`` for every
-    such image y, and the call returns True.
+    real parts w of the spectrum of ``J M``, sorted descending, a Cholesky
+    of ``M - tau J`` (:func:`_gap_certificate`) proves ``<y, y> > tol
+    ||y||^2`` for every such image y, and the call returns True.  The
+    spectrum is :func:`~supq.kernel._spectrum`'s: above n = 32 it raises
+    DimensionMismatch, the eigensolver's cap that the admissibility checks
+    share, and a LAPACK failure raises NoConvergence.  An ``M`` that
+    overflows goes straight to the search.
 
     Otherwise it searches: it draws ``trials`` vectors, alternating timelike
     and null, as that run of ``sample_cone`` calls on ``default_rng(seed)``
     would, in blocks of 1, 2, 4, ... vectors, and returns False if an image
     ``s @ x`` fails to classify as timelike, unless an image drawn before it
     overflows to Inf or is zero: that raises NonFiniteInput or ZeroVector.
-    A True verdict of the search is probabilistic evidence, not a proof.  A
-    ``trials`` below 1 raises ValueError: a search without a draw would
-    return True on no evidence.
+    A True verdict of the search is probabilistic evidence, not a proof.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = operator.index(trials), operator.index(seed)
+    if trials < 1 or seed < 0:
+        raise ValueError("trials must be >= 1 and seed >= 0")
     s = _check_matrix(s, sig)
     return _cone_certificate(s, sig, tol) or _cone_search(s, sig, trials, seed, tol)
 
@@ -241,20 +259,13 @@ def _cone_certificate(s: np.ndarray, sig: Signature, tol: float) -> bool:
     """The S-lemma certificate of :func:`cone_preservation_check` for a validated ``s``."""
     j = sig.j_diag
     M = s.conj().T @ ((j - tol)[:, None] * s)
-    if not np.isfinite(M).all():
-        return False
-    try:
-        w = np.sort(np.linalg.eigvals(j[:, None] * M).real)
-    except np.linalg.LinAlgError:
-        return False
-    lo, hi = max(0.0, float(w[sig.q - 1])), float(w[sig.q])  # w ascending: w_{p+1}, w_p
-    return lo < hi and _shift_certificate(M, sig.J, lo, hi, _rounding_bound(sig.n))
+    return bool(np.isfinite(M).all()) and _gap_certificate(M, _spectrum(j[:, None] * M)[0], sig, 0.0) > 0
 
 
 def _cone_search(s: np.ndarray, sig: Signature, trials: int, seed: int, tol: float) -> bool:
     """The Monte-Carlo search of :func:`cone_preservation_check` for a validated ``s``."""
     rng = np.random.default_rng(seed)
-    for k in range(int(trials).bit_length()):  # samples 2**k - 1 up to 2**(k+1) - 2
+    for k in range(trials.bit_length()):  # samples 2**k - 1 up to 2**(k+1) - 2
         block = range(2**k - 1, min(trials, 2 ** (k + 1) - 1))
         images = _sample_cones([ConeClass.NULL if i % 2 else ConeClass.TIMELIKE for i in block], sig, rng) @ s.T
         ns, e2, _ = _cone_margins(images, sig.p)

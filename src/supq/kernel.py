@@ -99,12 +99,15 @@ def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndar
     """LAPACK's eigenvalues of a square, finite complex128 ``M``, sorted by
     descending real part with ties broken by descending imaginary part, and,
     when ``vectors`` is set, the unit eigenvectors as columns in the same
-    order (else None).  The eigensolver's size cap (:class:`DimensionMismatch`
-    above ``EIG_SIZE_CAP``) and its failure (:class:`NoConvergence`) live
-    here, for :func:`eig`, for the admissibility certificate, which needs
-    no vectors and no residual check because it proves the spectrum itself,
-    and for the eigenpairs of ``q_log``, which its reconstruction window
-    judges."""
+    order (else None).  Every general eigensolve of the library is this one
+    call, so the eigensolver's size cap (:class:`DimensionMismatch` above
+    ``EIG_SIZE_CAP``) and its failure (:class:`NoConvergence`) live here.
+    Its callers: :func:`eig`, which adds a residual check; the spectra of
+    ``admissible._gap_certificate``, for the admissibility check and the cone
+    check, which need no vectors and no residual check because the
+    certificate proves the gap itself; the eigenpairs that name a refused
+    admissibility check; and the eigenpairs of ``q_log``, which its
+    reconstruction window judges."""
     n = M.shape[0]
     if n > EIG_SIZE_CAP:
         raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")

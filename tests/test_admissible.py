@@ -36,6 +36,9 @@ def test_is_admissible_diag():
     assert is_admissible_diag([2.0, 1.0, 0.5], SIG21)
     with pytest.raises(DimensionMismatch):
         is_admissible_diag([1.0], SIG11)
+    for d in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]):  # no verdict on a non-finite exponent
+        with pytest.raises(NonFiniteInput):
+            is_admissible_diag(d, SIG11)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +224,11 @@ def test_unit_diagonal_triangular_is_never_admissible():
     assert not report.admissible
 
 
-@pytest.mark.parametrize("check", [check_admissible_q, check_admissible_an])
+@pytest.mark.parametrize("check", [check_admissible_q, check_admissible_an, cone_preservation_check])
 @pytest.mark.parametrize("order", [1, -1], ids=["admissible", "gap_violated"])
 def test_admissibility_checks_keep_the_eigensolver_size_cap(check, order):
     # diag(exp(d)) at n = 33 is in Q and in AN; the certificate could decide it,
-    # but the admissibility checks share the eigensolver's cap of n = 32
+    # but the admissibility checks and the cone check share the eigensolver's cap of n = 32
     d = order * np.linspace(1.0, -1.0, 33)
     with pytest.raises(DimensionMismatch, match="capped"):
         check(np.diag(np.exp(d)), Signature(17, 16))
@@ -325,6 +328,18 @@ def test_cone_check_refuses_a_negative_trial_count():
             cone_preservation_check(np.eye(2), SIG11, trials=trials)
     violator = random_nonadmissible_q(Signature(2, 2), np.random.default_rng(0))
     assert not cone_preservation_check(violator, Signature(2, 2), trials=1)
+
+
+@pytest.mark.parametrize("s", [np.diag([E, 1 / E]), np.eye(2)], ids=["certified", "searched"])
+def test_cone_check_judges_trials_and_seed_before_the_certificate(s):
+    # the same refusal whether or not the search runs
+    for kwargs in ({"trials": 2.5}, {"trials": 3.0}, {"seed": 1.5}, {"seed": None}):
+        with pytest.raises(TypeError):
+            cone_preservation_check(s, SIG11, **kwargs)
+    for kwargs in ({"trials": 0}, {"seed": -1}):
+        with pytest.raises(ValueError, match="trials must be >= 1 and seed >= 0"):
+            cone_preservation_check(s, SIG11, **kwargs)
+    assert cone_preservation_check(s, SIG11, trials=np.int64(3), seed=np.uint32(7)) == (s[0, 0] > 1)
 
 
 _NOT_Q = [[1e200, 3e199], [0, 1e-200]]  # the squares of these entries overflow

@@ -5,13 +5,13 @@ the Monte-Carlo cone search."""
 import numpy as np
 import pytest
 
-from supq.admissible import (_admissibility_report, _cone_certificate, _cone_search, _labelled_report,
-                             _shift_certificate, check_admissible_an, check_admissible_q, cone_preservation_check)
+from supq.admissible import (_admissibility_report, _cone_certificate, _cone_search, _gap_certificate,
+                             _labelled_report, check_admissible_an, check_admissible_q, cone_preservation_check)
 from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
 from supq.errors import NoConvergence, NonFiniteInput, NotAdmissible
 from supq.iwasawa import dress, q_log, sym
-from supq.kernel import DEFAULT_TOL, _rounding_bound, eig
+from supq.kernel import DEFAULT_TOL, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
 from supq.su11 import Su11ANElement, su11_an_admissible
 
@@ -36,24 +36,22 @@ def test_certified_reports_match_the_labelling():
     for kind, sig, s, sylvester in _draws(2026, 600):
         result = eig(s)
         report = _admissibility_report(s, sig, DEFAULT_TOL, sylvester)
-        labelled = _labelled_report(result, sig, DEFAULT_TOL)
+        labelled = _labelled_report(result.values, result.vectors, sig, DEFAULT_TOL)
         assert not labelled.admissible
         assert report.admissible == (kind != "nonadmissible_q")
         assert labelled.reason == ("gap not certified" if report.admissible else report.reason)
         assert report.margin == pytest.approx(labelled.margin, rel=1e-12)
         assert report.timelike_values == pytest.approx(labelled.timelike_values, rel=1e-12)
         assert report.spacelike_values == pytest.approx(labelled.spacelike_values, rel=1e-12)
-        lam = result.values.real
-        bound = _rounding_bound(sig.n)
-        certified += _shift_certificate(sig.j_diag[:, None] * s, sig.J, lam[sig.p], lam[sig.p - 1], bound)
+        certified += _gap_certificate(sig.j_diag[:, None] * s, result.values, sig, DEFAULT_TOL) > 0
     assert certified == 400  # every admissible draw took the certificate, no gap violator did
 
 
 def test_inertia_is_part_of_the_certificate():
-    # J(s - cI) > 0 at c = 2.25, but the spacelike values -0.5 make In(J s) = (3, 0)
+    # J(s - cI) > 0 at c = 2, but the spacelike values -0.5 make In(J s) = (3, 0)
     s = np.diag([4.0, -0.5, -0.5]).astype(complex)
     sig = Signature(1, 2)
-    assert _shift_certificate(sig.j_diag[:, None] * s, sig.J, -0.5, 4.0, DEFAULT_TOL)
+    assert _gap_certificate(sig.j_diag[:, None] * s, [4, -0.5, -0.5], sig, DEFAULT_TOL) > 0
     report = check_admissible_q(s, sig)
     assert not report.admissible
     assert report.reason == "nonpositive eigenvalues"

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name is used in the package, only public calls enter an
-errstate, and the numpy-only paths never load scipy."""
+errstate, each LAPACK eigensolver and Cholesky has one caller, and the
+numpy-only paths never load scipy."""
 
 import ast
 import json
@@ -73,6 +74,21 @@ def test_errstate_is_entered_only_at_public_entries():
                 quiet.add(node.name)
     assert {"eig", "sym", "dress", "decompose_gauss", "check_admissible_q"} <= quiet
     assert sorted(name for name in quiet if name.startswith("_")) == []
+
+
+def test_one_general_eigensolver_and_one_cholesky():
+    # every general eigensolve goes through kernel._spectrum, which holds the
+    # size cap and the NoConvergence of a LAPACK failure, and every Cholesky
+    # through kernel._definite, which holds the pivot rule
+    found = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("eig", "eigvals", "cholesky")
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                    found.add((path.stem, getattr(top, "name", "<module>"), node.attr))
+    assert sorted(found) == [("kernel", "_definite", "cholesky"), ("kernel", "_spectrum", "eig"),
+                             ("kernel", "_spectrum", "eigvals")]
 
 
 # One call of each numpy-only public path, the CLI's decompose included;

@@ -676,12 +676,13 @@ def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
         assert exc.value.index == int(np.argmin(np.abs(d) / cancel)) + 1, sig
 
 
-# Determinant windows (the SVD + LU of groups._det_is_one),
-# eigendecompositions and kernel.as_cmatrix conversions per public call at
-# n = 4: each input is converted and validated once, and no intermediate the
+# Determinant windows (the SVD + LU of groups._det_is_one), eigenvector
+# computations (kernel._spectrum with vectors=True, as bound in admissible
+# and iwasawa) and kernel.as_cmatrix conversions per public call at n = 4:
+# each input is converted and validated once, and no intermediate the
 # library built is validated again, except where q_log's mat_exp re-checks
 # its argument.  A certified admissibility verdict reads eigenvalues only,
-# so it calls no eig.
+# so it computes no eigenvectors; q_log computes them once, for its log.
 VALIDATION_BUDGET = {
     "dress": (2, 0, 2),
     "decompose_gauss": (1, 0, 1),
@@ -690,7 +691,7 @@ VALIDATION_BUDGET = {
     "check_admissible_an": (1, 0, 1),
     "check_admissible_q": (1, 0, 1),
     "decompose_g_admissible": (1, 0, 1),
-    "q_log": (1, 0, 2),
+    "q_log": (1, 1, 2),
 }
 
 
@@ -722,7 +723,14 @@ def test_public_calls_validate_once(monkeypatch, name):
         return wrapper
 
     monkeypatch.setattr(groups, "_det_is_one", counting("det", groups._det_is_one))
-    monkeypatch.setattr(admissible, "eig", counting("eig", admissible.eig))
+    spectrum = kernel._spectrum
+
+    def counted_spectrum(M, vectors=False):
+        counts["eig"] += vectors
+        return spectrum(M, vectors)
+
+    for module in (admissible, iwasawa):
+        monkeypatch.setattr(module, "_spectrum", counted_spectrum)
     as_cmatrix = kernel.as_cmatrix
     counted_as_cmatrix = counting("as_cmatrix", as_cmatrix)
     for modname, module in list(sys.modules.items()):
