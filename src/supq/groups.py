@@ -14,7 +14,6 @@ Q   dagger-fixed (dagger(M) = M), det 1
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,51 +130,6 @@ def _require(M, tag: GroupTag, sig: Signature, tol: float) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class AdmissibleDiagonal:
-    """Exponent vector (lambda_1..lambda_p, mu_1..mu_q).
-
-    Both blocks are non-increasing, min(lambda) > max(mu) strictly, and the
-    entries sum to zero, so exp of the corresponding diagonal matrix lands
-    in A and is admissible.
-    """
-
-    lambdas: tuple[float, ...]
-    mus: tuple[float, ...]
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        mu = np.asarray(self.mus, dtype=float)
-        if lam.size < 1 or mu.size < 1:
-            raise ValueError("need at least one entry in each block")
-        if np.any(np.diff(lam) > 0) or np.any(np.diff(mu) > 0):
-            raise ValueError("blocks must be non-increasing")
-        if not lam.min() > mu.max():
-            raise ValueError("min(lambda) must strictly exceed max(mu)")
-        total = float(lam.sum() + mu.sum())
-        span = max(1.0, float(np.abs(lam).max()), float(np.abs(mu).max()))
-        if abs(total) > 1e-9 * span:
-            raise ValueError(f"entries must sum to zero, got {total}")
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in lam))
-        object.__setattr__(self, "mus", tuple(float(v) for v in mu))
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.asarray(self.lambdas + self.mus, dtype=float)
-
-    @property
-    def gap(self) -> float:
-        return min(self.lambdas) - max(self.mus)
-
-    def matrix(self) -> np.ndarray:
-        """diag(lambda, mu) as a complex matrix (an element of the Lie algebra of A)."""
-        return np.diag(self.entries).astype(np.complex128)
-
-    def exp_matrix(self) -> np.ndarray:
-        """exp of :meth:`matrix`: the corresponding element of A."""
-        return np.diag(np.exp(self.entries)).astype(np.complex128)
-
-
 def random_g0(sig: Signature, seed: int | np.random.Generator, spread: float = 1.0) -> np.ndarray:
     """Random element of SU(p, q): exp of a traceless dagger-antisymmetric X
     with ||X||_F = spread.
@@ -213,12 +167,17 @@ def random_an(sig: Signature, seed: int | np.random.Generator, spread: float = 1
 
 def random_admissible_diag(
     sig: Signature, seed: int | np.random.Generator, gap: float = 1e-3, scale: float = 1.0
-) -> AdmissibleDiagonal:
-    """Random admissible exponent vector with min(lambda) - max(mu) >= gap
-    and zero sum; ``scale`` is the standard deviation of the raw exponents.
-    ``seed`` is an int or a Generator."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+) -> np.ndarray:
+    """Random admissible exponent vector ``(lambda_1..lambda_p, mu_1..mu_q)``
+    as a float64 array of length n: both blocks non-increasing,
+    min(lambda) - max(mu) >= gap, and zero sum, so ``np.diag(np.exp(d))`` is
+    an admissible element of A.  ``scale`` is the standard deviation of the
+    raw exponents.  ``seed`` is an int or a Generator.
+
+    Raises ValueError unless 0 < gap < inf and 0 <= scale < inf, or if the
+    gap is lost to the rounding of exponents of that scale."""
+    if not (0 < gap < np.inf and 0 <= scale < np.inf):
+        raise ValueError(f"need 0 < gap < inf and 0 <= scale < inf, got gap={gap}, scale={scale}")
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.normal(0.0, scale, sig.p))[::-1]
     mu = np.sort(rng.normal(0.0, scale, sig.q))[::-1]
@@ -229,4 +188,6 @@ def random_admissible_diag(
     center = (lam.sum() + mu.sum()) / sig.n
     lam -= center
     mu -= center
-    return AdmissibleDiagonal(tuple(lam), tuple(mu))
+    if not lam.min() > mu.max():
+        raise ValueError(f"gap {gap} is lost to the rounding of exponents of scale {scale}")
+    return np.concatenate([lam, mu])

@@ -37,7 +37,7 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
-from .indefinite import Signature, _cone_margins, _dagger, _sym
+from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _sym
 from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, mat_exp
 
 
@@ -106,13 +106,15 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     NotInG
         If g is not n x n with det(g) = 1 to tolerance.
     NotDecomposable
-        With ``kind="null_boundary"`` when a residual is null to tolerance
-        (|norm_sq| <= tol * ||r||_2^2), or ``kind="wrong_cone"`` when it has
-        the wrong causal type.  ``index`` is the offending column, 1-based.
+        With ``kind="null_boundary"`` when :func:`~supq.indefinite.classify`
+        finds a residual null (|norm_sq| <= tol * ||r||_2^2; a zero residual
+        is null too), or ``kind="wrong_cone"`` when it has the wrong causal
+        type.  ``index`` is the offending column, 1-based.
         Of kind ``unitary_check`` if s misses the SU(p, q) window after the
         second pass (index: worst column).
     NonFiniteInput
-        If a diagonal entry of b exceeds the float range.
+        If a residual has a NaN or Inf entry, or a diagonal entry of b
+        exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
     return _certified(g, g.copy(), sig, tol, lambda x: _gs_step(x, sig, tol))
@@ -127,15 +129,15 @@ def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.
     for k in range(n):
         r = R[:, k]
         ns, e2, scale = _cone_margins(r, p)
-        if not math.isfinite(e2):
-            raise NonFiniteInput("vector contains NaN or Inf entries")
-        if abs(ns) <= tol * e2:
+        # _classify refuses a zero vector; a zero residual is the boundary
+        cone = _classify(ns, e2, tol) if e2 else ConeClass.NULL
+        if cone is ConeClass.NULL:
             raise NotDecomposable(
                 f"column {k + 1}: residual is null to tolerance (factorization boundary)",
                 index=k + 1,
                 kind="null_boundary",
             )
-        if (ns > 0) != (k < p):
+        if cone is not (ConeClass.TIMELIKE if k < p else ConeClass.SPACELIKE):
             raise NotDecomposable(
                 f"column {k + 1}: residual has the wrong causal type",
                 index=k + 1,

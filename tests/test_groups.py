@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supq.admissible import is_admissible_diag
 from supq.errors import DimensionMismatch, NotInG
 from supq.groups import (
-    AdmissibleDiagonal,
     GroupTag,
     is_member,
     random_admissible_diag,
@@ -262,41 +262,44 @@ def test_g0_intersect_an_is_trivial():
 # admissible diagonals
 
 
-def test_admissible_diagonal_known():
-    d = AdmissibleDiagonal((1.0,), (-1.0,))
-    assert d.gap == 2.0
-    np.testing.assert_array_equal(d.entries, [1.0, -1.0])
-    np.testing.assert_allclose(d.exp_matrix(), np.diag([np.e, 1 / np.e]), rtol=1e-15)
-    np.testing.assert_array_equal(d.matrix(), np.diag([1.0, -1.0]))
-
-
-def test_admissible_diagonal_rejects_bad_input():
-    with pytest.raises(ValueError):
-        AdmissibleDiagonal((1.0, 2.0), (-3.0,))  # lambda block increasing
-    with pytest.raises(ValueError):
-        AdmissibleDiagonal((1.0,), (-0.5, 0.5))  # mu block increasing
-    with pytest.raises(ValueError):
-        AdmissibleDiagonal((0.0,), (0.0,))  # no strict gap
-    with pytest.raises(ValueError):
-        AdmissibleDiagonal((2.0,), (-1.0,))  # nonzero sum
-    with pytest.raises(ValueError):
-        AdmissibleDiagonal((), (1.0,))  # empty block
-
-
 def test_random_admissible_diag_contract():
     for seed in range(200):
         sig = Signature(1 + seed % 3, 1 + (seed // 3) % 3)
         d = random_admissible_diag(sig, seed, gap=1e-3)
-        assert d.gap >= 1e-3 - 1e-12
-        assert abs(d.entries.sum()) <= 1e-9 * max(1.0, np.abs(d.entries).max())
-        assert len(d.lambdas) == sig.p and len(d.mus) == sig.q
+        assert d.dtype == np.float64 and d.shape == (sig.n,)
+        lam, mu = d[: sig.p], d[sig.p :]
+        assert lam.min() - mu.max() >= 1e-3 - 1e-12
+        assert np.all(np.diff(lam) <= 0) and np.all(np.diff(mu) <= 0)
+        assert abs(d.sum()) <= 1e-9 * max(1.0, np.abs(d).max())
+        assert is_admissible_diag(d, sig)
         # exp lands in A with determinant 1
-        assert is_member(d.exp_matrix(), GroupTag.A, sig)
+        assert is_member(np.diag(np.exp(d)).astype(np.complex128), GroupTag.A, sig)
 
 
-def test_random_admissible_diag_rejects_nonpositive_gap():
+@pytest.mark.parametrize(
+    "gap, scale",
+    [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1e-3, np.nan), (1e-3, np.inf)],
+    ids=["gap=0", "gap=nan", "gap=inf", "scale=nan", "scale=inf"],
+)
+def test_random_admissible_diag_rejects_nonpositive_gap(gap, scale):
+    # refused before any draw: the generator's arithmetic would turn an
+    # infinite gap or scale into NaN exponents, and ignore a NaN gap
     with pytest.raises(ValueError):
-        random_admissible_diag(SIG11, 0, gap=0.0)
+        random_admissible_diag(SIG11, 0, gap=gap, scale=scale)
+
+
+def test_random_admissible_diag_refuses_a_gap_lost_to_rounding():
+    # a gap far below the rounding of unit-scale exponents can vanish in the
+    # shift and recentring: such a draw is refused, never returned
+    refused = 0
+    for seed in range(20):
+        try:
+            d = random_admissible_diag(SIG22, seed, gap=1e-300)
+        except ValueError:
+            refused += 1
+            continue
+        assert is_admissible_diag(d, SIG22)
+    assert 0 < refused < 20
 
 
 @pytest.mark.parametrize(
@@ -304,7 +307,7 @@ def test_random_admissible_diag_rejects_nonpositive_gap():
     [
         lambda seed: random_g0(SIG22, seed),
         lambda seed: random_an(SIG22, seed),
-        lambda seed: random_admissible_diag(SIG22, seed).entries,
+        lambda seed: random_admissible_diag(SIG22, seed),
         lambda seed: sample_cone(ConeClass.TIMELIKE, SIG22, seed),
     ],
     ids=["random_g0", "random_an", "random_admissible_diag", "sample_cone"],

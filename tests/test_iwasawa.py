@@ -219,6 +219,18 @@ def test_boundary_element_raises_on_both_routes():
     assert exc_info.value.kind == "null_boundary"
 
 
+def test_gs_column_verdict_is_the_cone_classifier():
+    # the column loop reads classify's verdict on each residual, except that
+    # a zero residual (which classify refuses) names the boundary
+    with pytest.raises(NotDecomposable) as exc_info:
+        iwasawa._gs_step(np.zeros((2, 2), complex), SIG11, DEFAULT_TOL)
+    assert (exc_info.value.kind, exc_info.value.index) == ("null_boundary", 1)
+    R = np.eye(2, dtype=complex)
+    R[1, 1] = np.nan
+    with pytest.raises(NonFiniteInput, match="vector contains NaN or Inf entries"):
+        iwasawa._gs_step(R, SIG11, DEFAULT_TOL)
+
+
 def test_cell_crossed_pivot_is_located():
     # both routes report the exact pivot where the inertia flips, also when
     # the bad block is hidden inside benign cosets
@@ -602,7 +614,7 @@ def test_gs_returns_s_in_g0_or_refuses_it_at_large_exponents(scale):
         p = int(rng.integers(1, n))
         sig = Signature(p, n - p)
         d = groups.random_admissible_diag(sig, rng, scale=scale)
-        g = d.exp_matrix() @ random_g0(sig, rng, spread=rng.uniform(0.1, 2.0))
+        g = np.diag(np.exp(d)).astype(np.complex128) @ random_g0(sig, rng, spread=rng.uniform(0.1, 2.0))
         try:
             s = decompose_gs(g, sig).s
         except NotDecomposable:
@@ -860,8 +872,8 @@ def test_q_log_on_graded_spectra(sd):
         sig = random_signature(rng, 6)
         d = random_admissible_diag(sig, rng, scale=sd)
         g = random_g0(sig, rng)
-        s = dagger(g, sig) @ d.exp_matrix() @ g
-        exact = dagger(g, sig) @ np.diag(np.array(d.lambdas + d.mus, dtype=complex)) @ g
+        s = dagger(g, sig) @ np.diag(np.exp(d)).astype(np.complex128) @ g
+        exact = dagger(g, sig) @ np.diag(d.astype(complex)) @ g
         try:
             report = check_admissible_q(s, sig)
         except NotInQ:
