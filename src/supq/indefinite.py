@@ -90,17 +90,20 @@ def _cone_margins(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """``(<y, y>, ||y||_2^2, k)`` of each row ``y = 2**-k x`` of a vector or stack of
     rows x, k = 0 unless the row's sum of squares overflows or leaves the normal
     range.  The scaling is exact, so each pair gives its row's cone class and
-    relative margin at any scale; a NaN or Inf row gets a non-finite ``||y||^2``."""
-    mags = x.real**2 + x.imag**2
-    e2 = mags.sum(axis=-1)
+    relative margin at any scale; a NaN or Inf row gets a non-finite ``||y||^2``.
+    The two block sums are dot products over x made C-contiguous, so a row
+    gets the same bits alone, inside a stack and whatever its memory layout."""
+    x = np.ascontiguousarray(x)
+    pos, neg = np.vecdot(x[..., :p], x[..., :p]).real, np.vecdot(x[..., p:], x[..., p:]).real
+    e2 = pos + neg
     k = np.zeros(e2.shape, int)
     normal = (e2 >= sys.float_info.min) & (e2 < math.inf)
     if not normal.all():  # frexp gives a zero exponent to a zero, NaN or Inf peak
         k = np.where(normal, k, np.frexp(np.maximum(abs(x.real), abs(x.imag)).max(axis=-1))[1])
         y = _scaled(x, k[..., None])
-        mags = y.real**2 + y.imag**2
-        e2 = mags.sum(axis=-1)
-    return mags[..., :p].sum(axis=-1) - mags[..., p:].sum(axis=-1), e2, k
+        pos, neg = np.vecdot(y[..., :p], y[..., :p]).real, np.vecdot(y[..., p:], y[..., p:]).real
+        e2 = pos + neg
+    return pos - neg, e2, k
 
 
 def _scaled(x: np.ndarray, k) -> np.ndarray:

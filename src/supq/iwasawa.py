@@ -93,10 +93,14 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     Modified Gram-Schmidt against the indefinite pairing, right-looking:
     each accepted direction u_k is projected out of all later columns at
     once, so column k has been reduced against u_1..u_{k-1} in order by the
-    time it is reached.  The coefficient for u_l is <v, u_l> divided by
-    <u_l, u_l> = +1 (l <= p) or -1 (l > p).  The residual must be strictly
-    timelike for k <= p and strictly spacelike afterwards; its indefinite
-    length becomes the diagonal entry b_kk > 0.  The factor s is returned
+    time it is reached.  The loop runs on a row-major copy of g, which it
+    leaves unchanged: each column is a contiguous row, so projecting u_k out
+    of the later columns is one matrix-vector product and one rank-1 update
+    (Björck, Linear Algebra Appl. 197-198, 1994).  The coefficient for u_l
+    is <v, u_l> divided by <u_l, u_l> = +1 (l <= p) or -1 (l > p).  The
+    residual must be strictly timelike for k <= p and strictly spacelike
+    afterwards; its indefinite length becomes the diagonal entry b_kk > 0.
+    The factor s, a fresh C-contiguous array, is returned
     only through the SU(p, q) window of :func:`~supq.groups.is_member`; when
     one pass misses it, the loop runs once more on s ("twice is enough":
     Giraud, Langou and Rozložník, Comput. Math. Appl. 50, 2005).
@@ -117,17 +121,20 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
-    return _certified(g, g.copy(), sig, tol, lambda x: _gs_step(x, sig, tol))
+    return _certified(g, g, sig, tol, lambda x: _gs_step(x, sig, tol))
 
 
 def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of :func:`decompose_gs`'s column loop on ``R``, which it
-    reduces and normalises in place: ``(s, b)`` with s the final R."""
+    """One pass of :func:`decompose_gs`'s column loop on ``R``, which it only
+    reads: ``(s, b)`` with s a fresh C-contiguous array.  Column k of R is the
+    contiguous row ``C[k]`` of a row-major copy, so projecting u_k out of the
+    later columns is one matrix-vector product and one rank-1 update."""
     n, p = sig.n, sig.p
     j = sig.j_diag
+    C = R.T.copy()
     B = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
-        r = R[:, k]
+        r = C[k]
         ns, e2, scale = _cone_margins(r, p)
         # _classify refuses a zero vector; a zero residual is the boundary
         cone = _classify(ns, e2, tol) if e2 else ConeClass.NULL
@@ -151,12 +158,10 @@ def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.
         r /= rk
         if k == n - 1:
             break
-        c = (j * r.conj()) @ R[:, k + 1:]
-        if k >= p:
-            c = -c
-        R[:, k + 1:] -= np.outer(r, c)
+        c = C[k + 1:] @ (r.conj() * (j if k < p else -j))
+        C[k + 1:] -= c[:, None] * r
         B[k, k + 1:] = c
-    return R, B
+    return C.T.copy(), B
 
 
 @_quiet

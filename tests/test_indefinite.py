@@ -192,6 +192,20 @@ def test_cone_margins_match_exact_arithmetic_at_every_scale(case):
             assert verdict is ConeClass.NULL
 
 
+def test_cone_margins_do_not_depend_on_memory_layout():
+    # a column of a matrix, its contiguous copy and its row inside the
+    # transposed (strided) stack of columns give the same bits
+    rng = np.random.default_rng(27)
+    for _ in range(2000):
+        n = int(rng.integers(2, 33))
+        p, m = int(rng.integers(1, n)), int(rng.integers(1, n + 1))
+        R = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-3, 3, (n, n))
+        k = int(rng.integers(0, m))
+        stacked = [np.asarray(part[k]).tobytes() for part in _cone_margins(R[:, :m].T, p)]
+        for x in (R[:, k], R[:, k].copy()):
+            assert [np.asarray(part).tobytes() for part in _cone_margins(x, p)] == stacked
+
+
 # ---------------------------------------------------------------------------
 # dagger
 

@@ -231,6 +231,21 @@ def test_gs_column_verdict_is_the_cone_classifier():
         iwasawa._gs_step(R, SIG11, DEFAULT_TOL)
 
 
+def test_gs_reads_its_input_and_returns_a_fresh_contiguous_s():
+    rng = np.random.default_rng(27)
+    for n in (2, 5, 16, 32):
+        sig = Signature(n // 2, n - n // 2)
+        g = random_decomposable(sig, rng)
+        for R in (g, np.asfortranarray(g)):
+            before = R.tobytes()
+            s, _ = iwasawa._gs_step(R, sig, DEFAULT_TOL)
+            assert R.tobytes() == before
+            assert s.flags.c_contiguous and not np.shares_memory(s, R)
+            pair = decompose_gs(R, sig)
+            assert R.tobytes() == before
+            assert pair.s.flags.c_contiguous
+
+
 def test_cell_crossed_pivot_is_located():
     # both routes report the exact pivot where the inertia flips, also when
     # the bad block is hidden inside benign cosets
