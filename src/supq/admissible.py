@@ -82,13 +82,16 @@ class AdmissibilityReport:
 
 def is_admissible_diag(d, sig: Signature) -> bool:
     """True when min of the first p entries strictly exceeds max of the rest;
-    NonFiniteInput for a NaN or Inf entry."""
-    v = np.asarray(d, dtype=float)
+    NonFiniteInput for a NaN or Inf entry, ValueError for an entry with a
+    nonzero imaginary part (a complex array that is exactly real passes)."""
+    v = np.asarray(d, dtype=complex)
     if v.ndim != 1 or v.shape[0] != sig.n:
         raise DimensionMismatch(f"expected {sig.n} real entries")
     if not np.isfinite(v).all():
         raise NonFiniteInput("exponents contain NaN or Inf entries")
-    return bool(v[: sig.p].min() > v[sig.p :].max())
+    if v.imag.any():
+        raise ValueError("exponents must be real")
+    return bool(v.real[: sig.p].min() > v.real[sig.p :].max())
 
 
 @_quiet

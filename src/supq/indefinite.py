@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,12 +23,17 @@ from .kernel import DEFAULT_TOL, _quiet, as_cmatrix, as_cvector
 
 @dataclass(frozen=True)
 class Signature:
-    """The pair (p, q), p >= 1 and q >= 1, fixing the form diag(+1 x p, -1 x q)."""
+    """The pair (p, q), p >= 1 and q >= 1, fixing the form diag(+1 x p, -1 x q).
+
+    p and q are stored as ints; a numpy integer is accepted, and a value
+    that is not an integer (2.0 included) raises ``TypeError``."""
 
     p: int
     q: int
 
     def __post_init__(self):
+        for name in ("p", "q"):  # a non-integer raises TypeError here, not at a later use
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.p < 1 or self.q < 1:
             raise ValueError(f"signature needs p >= 1 and q >= 1, got ({self.p}, {self.q})")
 
@@ -167,15 +173,17 @@ def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     return h
 
 
-def sample_cone(cls: ConeClass, sig: Signature, rng_seed: int | np.random.Generator) -> np.ndarray:
+def sample_cone(cls: ConeClass | str, sig: Signature, rng_seed: int | np.random.Generator) -> np.ndarray:
     """Reproducibly sample one vector of cone class ``cls``.
 
-    ``rng_seed`` is an int or a ``numpy.random.Generator``, which is drawn
-    from in place.  Null vectors are returned with unit Euclidean norm and
-    satisfy ``|norm_sq(x)| <= 1e-12``; timelike and spacelike samples sit
-    well away from the cone boundary.
+    ``cls`` is a :class:`ConeClass` or its value, such as ``"timelike"``;
+    anything else raises ``ValueError``.  ``rng_seed`` is an int or a
+    ``numpy.random.Generator``, which is drawn from in place.  Null vectors
+    are returned with unit Euclidean norm and satisfy ``|norm_sq(x)| <=
+    1e-12``; timelike and spacelike samples sit well away from the cone
+    boundary.
     """
-    return _sample_cones([cls], sig, np.random.default_rng(rng_seed))[0]
+    return _sample_cones([ConeClass(cls)], sig, np.random.default_rng(rng_seed))[0]
 
 
 def _sample_cones(classes: list[ConeClass], sig: Signature, rng: np.random.Generator) -> np.ndarray:

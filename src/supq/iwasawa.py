@@ -18,9 +18,11 @@ unique when it exists):
   wrong sign (:class:`~supq.errors.WrongInertia`).
 
 Each route is one step that returns (s, b), and one acceptor: s must pass
-the SU(p, q) window of :func:`~supq.groups.is_member`, at once or after the
-same step has run once more on s.  Otherwise the route raises
-``NotDecomposable(kind="unitary_check")``.
+``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``, at
+once or after the same step has run once more on s.  Otherwise the route
+raises ``NotDecomposable(kind="unitary_check")``.  The determinant half is
+not judged again, so a returned s can fail ``is_member(s, G0)`` on its
+determinant window; the README gives the counts (ROADMAP item 3).
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -101,8 +103,9 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     residual must be strictly timelike for k <= p and strictly spacelike
     afterwards; its indefinite length becomes the diagonal entry b_kk > 0.
     The factor s, a fresh C-contiguous array, is returned
-    only through the SU(p, q) window of :func:`~supq.groups.is_member`; when
-    one pass misses it, the loop runs once more on s ("twice is enough":
+    only through ``groups._pseudo_unitary``, the defect half of
+    ``is_member(s, G0)`` (the determinant is not judged again); when one
+    pass misses it, the loop runs once more on s ("twice is enough":
     Giraud, Langou and Rozložník, Comput. Math. Appl. 50, 2005).
 
     Raises
@@ -114,14 +117,14 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         finds a residual null (|norm_sq| <= tol * ||r||_2^2; a zero residual
         is null too), or ``kind="wrong_cone"`` when it has the wrong causal
         type.  ``index`` is the offending column, 1-based.
-        Of kind ``unitary_check`` if s misses the SU(p, q) window after the
-        second pass (index: worst column).
+        Of kind ``unitary_check`` if s misses the SU(p, q) defect window
+        after the second pass (index: worst column).
     NonFiniteInput
         If a residual has a NaN or Inf entry, or a diagonal entry of b
         exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
-    return _certified(g, g, sig, tol, lambda x: _gs_step(x, sig, tol))
+    return _certified(g, sig, tol, lambda x: _gs_step(x, sig, tol))
 
 
 def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -178,10 +181,11 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     are judged at the rounding bound ``kernel._rounding_bound(n) = 8 n eps``,
     not at ``tol``.  When it does not certify them, the signed LDL* loop
     only names the refusal and returns no factor.  Then s = g b^{-1} is
-    returned only through the SU(p, q) window of
-    :func:`~supq.groups.is_member`; when it misses, one more step factors s
-    the same way, s <- s b2^{-1} and b <- b2 b (CholeskyQR2: Yamamoto et
-    al., ETNA 44, 2015).
+    returned only through ``groups._pseudo_unitary``, the defect half of
+    ``is_member(s, G0)``; its determinant is not judged again, so s can fail
+    the determinant window of ``is_member`` (ROADMAP item 3).  When s misses
+    the defect window, one more step factors s the same way, s <- s b2^{-1}
+    and b <- b2 b (CholeskyQR2: Yamamoto et al., ETNA 44, 2015).
 
     Raises
     ------
@@ -196,15 +200,15 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         If a pivot has the wrong sign (g lies in another cell).  ``index`` is
         the first pivot, in order, that vanishes or has the wrong sign.
     NotDecomposable
-        Of kind ``unitary_check`` if s misses the SU(p, q) window after the
-        second step (index: worst column).
+        Of kind ``unitary_check`` if s misses the SU(p, q) defect window
+        after the second step (index: worst column).
     """
     return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
 
 
 def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
     """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
-    return _certified(g, g, sig, tol, lambda x: _gauss_step(x, sig))
+    return _certified(g, sig, tol, lambda x: _gauss_step(x, sig))
 
 
 def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
@@ -221,14 +225,15 @@ def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     return x @ np.linalg.inv(b), b
 
 
-def _certified(g: np.ndarray, x: np.ndarray, sig: Signature, tol: float, step) -> DecompPair:
-    """The pair of ``g`` from ``step(x) = (s, b)``, accepted only when s is in
-    the SU(p, q) window of :func:`~supq.groups.is_member`.  Otherwise ``step``
-    runs once more on s, s <- s b2^{-1} and b <- b2 b, refining s itself
-    rather than starting again from g, which stalls at high cond(g).  The
-    determinant det(s) = det(g) / prod(a) is not judged again, so an s
-    accepted near the edge of the window can miss det 1 by about its defect."""
-    s, b = step(x)
+def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> DecompPair:
+    """The pair of ``g`` from ``step(g) = (s, b)``, accepted only when s
+    passes ``groups._pseudo_unitary``, the defect half of ``is_member(s,
+    G0)``.  Otherwise ``step`` runs once more on s, s <- s b2^{-1} and b <-
+    b2 b, refining s itself rather than starting again from g, which stalls
+    at high cond(g).  The determinant det(s) = det(g) / prod(a) is not judged
+    again, so an s accepted near the edge of the window can miss det 1 by
+    about its defect, and fail ``is_member(s, G0)`` (ROADMAP item 3)."""
+    s, b = step(g)
     if not _pseudo_unitary(s, sig, tol):
         s, b2 = step(s)
         b = b2 @ b

@@ -39,6 +39,9 @@ def test_is_admissible_diag():
     for d in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]):  # no verdict on a non-finite exponent
         with pytest.raises(NonFiniteInput):
             is_admissible_diag(d, SIG11)
+    with pytest.raises(ValueError, match="real"):  # not dropped with a ComplexWarning
+        is_admissible_diag(np.array([1 + 5j, 0]), SIG11)
+    assert is_admissible_diag(np.array([1 + 0j, 0]), SIG11)
 
 
 # ---------------------------------------------------------------------------

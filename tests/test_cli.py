@@ -460,20 +460,111 @@ def test_json_report_refuses_a_non_finite_result(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("sym: ok\n  sym =\n[[inf+0.j")
 
 
+def _supq(argv, stdin=None):
+    """``python -m supq`` on ``argv`` in a new process that imports this tree's supq."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "supq", *argv], input=stdin,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize(
     "command, sig, matrix, code",
     [("classify", SIG11, [[1e200, 0.0]], 0), ("sym", Signature(2, 1), OVERFLOWING_AN, 3)],
     ids=["classify", "sym"],
 )
 def test_overflow_prints_nothing_on_stderr(tmp_path, command, sig, matrix, code):
-    path = _write_doc(tmp_path, "doc.json", matrix, sig=sig)
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "supq", command, "--in", path],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _supq([command, "--in", _write_doc(tmp_path, "doc.json", matrix, sig=sig)])
     assert proc.returncode == code
     assert proc.stderr == ""
+
+
+def test_decompose_report_round_trips_through_a_second_process():
+    # each --json report is read back by a second process: the factor s of
+    # a decomposition must be in G0 = SU(p,q) and its factor b in AN
+    doc = '{"signature": {"p": 2, "q": 1}, "matrix": [[[2, 0], [1, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}'
+    decomposed = _supq(["decompose", "--json"], doc)
+    assert decomposed.returncode == 0
+    for key, target in (("s", "g0"), ("b", "an")):
+        factor = json.dumps(json.loads(decomposed.stdout)["outputs"][key])
+        checked = _supq(["check", "--set", target, "--json"], factor)
+        assert checked.returncode == 0
+        assert json.loads(checked.stdout)["outputs"]["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# the paper's claims on the documents that pin them; a numpy RuntimeWarning
+# is an error here, as pytest's filterwarnings makes it everywhere
+
+# pivot 1 of this SU(1,2) element has the wrong sign and pivot 3 is
+# singular to tolerance: each route must exit 4 naming pivot 1
+_PIVOT_1 = '{"signature": {"p": 1, "q": 2}, "matrix": [[[0, 0], [-146.77992676220697, 0], [-73.38996338110348, 0]], [[-146.77992676220697, 0], [-73.38996338110348, 0], [-36.69498169055174, 0]], [[0, 0], [0, 0], [-4.641588833612779e-05, 0]]]}'
+# diag(1e5, 1e-5) is in A, so decompose and dress by the identity must
+# return it as b and b_prime
+_A_1E5 = '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e5, 0], [0, 0]], [[0, 0], [1e-5, 0]]]}'
+_EYE = '{"signature": {"p": 1, "q": 1}, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+# diag(1e100, 1e-100) for signature (1, 1) is in A with r = 1e100 > 1: the
+# AN check certifies it and both routes return it as b, in agreement
+_A_1E100 = '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e100, 0], [0, 0]], [[0, 0], [1e-100, 0]]]}'
+# the s that Gauss returns for this SU(2,1) element and Gram-Schmidt for
+# this SU(1,2) element, far from the identity, must pass the G0 check
+_G21 = '{"signature": {"p": 2, "q": 1}, "matrix": [[[480.40133079890927, 29.531923751556462], [-217.2564333565002, -150.27736260752468], [240.18832863112513, 49.926651292546175]], [[0.01802810285033826, -0.016897336371087788], [0.036871519826093074, -0.011529757856690456], [0.008019269203131243, -0.0008479319466467817]], [[0.022985688458278187, -0.00018804049419769684], [-0.0026364310087222823, -0.006077097115450086], [0.049849582525083744, 0.01100706592226556]]]}'
+_G12 = '{"signature": {"p": 1, "q": 2}, "matrix": [[[630.1624479967794, 43.58231358204375], [-40.14507623058304, 173.2183658157662], [-301.09200920113784, -86.94238427280239]], [[22.056515416163204, -118.98766149511857], [522.9412839427526, 49.48596036860227], [-50.073883760580166, -69.68090967456185]], [[-2.3127280477417545e-06, 7.535597890279846e-07], [1.594780859604291e-07, -1.1063784997460359e-06], [4.254733158765621e-06, -6.275535502502507e-07]]]}'
+_TRUE = {"outputs.verdict": True}
+
+# (argv, the document on stdin, exit code, {"section.field": value of the report})
+_CLAIMS = {
+    # selftest exits 0 even when a suite fails, so the report's verdict decides
+    "selftest_at_defaults": (["selftest"], "", 0, {"outputs.all_passed": True}),
+    "gauss_names_pivot_1": (["decompose", "--method", "gauss"], _PIVOT_1, 4, {"diagnostics.kind": "wrong_inertia", "diagnostics.index": 1}),
+    "gs_names_pivot_1": (["decompose", "--method", "gs"], _PIVOT_1, 4, {"diagnostics.kind": "wrong_cone", "diagnostics.index": 1}),
+    "a_1e5_is_its_own_b": (["decompose"], _A_1E5, 0, {"outputs.b": np.diag([1e5, 1e-5])}),
+    "a_1e5_dressed_by_identity": (["dress", "--b", "-", "--g", _EYE], _A_1E5, 0, {"outputs.b_prime": np.diag([1e5, 1e-5])}),
+    # diag(1e10, 1e-10) in Q is admissible, and the certificate's tests are
+    # relative, so its verdict does not depend on the scale of the entries
+    "q_1e10_admissible": (["check", "--set", "q_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e10, 0], [0, 0]], [[0, 0], [1e-10, 0]]]}', 0, _TRUE),
+    "a_1e100_admissible": (["check", "--set", "an_adm"], _A_1E100, 0, _TRUE),
+    "a_1e100_is_its_own_b": (["decompose", "--method", "both"], _A_1E100, 0, {"outputs.agreement": 0.0, "outputs.a": [1e100, 1e-100]}),
+    # the squared norms of the columns of diag(1e200, 1e-200) leave the float
+    # range, so each column margin is taken on a power-of-two rescaling
+    "gs_a_1e200": (["decompose", "--method", "gs"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1e-200, 0]]]}', 0, {"outputs.a": [1e200, 1e-200]}),
+    # the unipotent [[1.01, 0.01], [-0.01, 0.99]] has the double eigenvalue 1,
+    # so its labels, in order by 3e-9, must not make it admissible
+    "double_eigenvalue_refused": (["check", "--set", "q_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1.01, 0], [0.01, 0]], [[-0.01, 0], [0.99, 0]]]}', 0, {"outputs.verdict": False, "outputs.reason": "gap not certified"}),
+    # the exponents +-8e-10 of diag(1.0000000008, 0.9999999992) are admissible (and a g
+    # with det 1.0000000000000007 factors at --tol 0: test_decompose_at_zero_tolerance_exits_0)
+    "exponents_8e-10_admissible": (["check", "--set", "q_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1.0000000008, 0], [0, 0]], [[0, 0], [0.9999999992, 0]]]}', 0, _TRUE),
+    # this dressed b' is admissible by the 2x2 closed form; eig gives its
+    # spectrum imaginary parts near 1e-8, which the certificate does not read
+    "dressed_b_near_double_eigenvalue": (["check", "--set", "an_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[18.203438187996333, -0.0], [15.085003703811886, 10.090135873165206]], [[0.0, 0.0], [0.05493467714988913, -0.0]]]}', 0, _TRUE),
+    # AN(1e5, 5e4) is admissible by the 2x2 closed form (r - 1/r > |n|), and
+    # diag(1e250, 1e-250) in Q is admissible; eig returns their small
+    # eigenvalues as 0 or below, which the certificate does not read
+    "an_1e5_5e4_admissible": (["check", "--set", "an_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e5, 0], [5e4, 0]], [[0, 0], [1e-5, 0]]]}', 0, _TRUE),
+    "q_1e250_admissible": (["check", "--set", "q_adm"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1e250, 0], [0, 0]], [[0, 0], [1e-250, 0]]]}', 0, _TRUE),
+    "gauss_s_far_from_identity_in_g0": (["check", "--set", "g0"], (["decompose", "--method", "gauss"], _G21, "s"), 0, _TRUE),
+    "gs_s_far_from_identity_in_g0": (["check", "--set", "g0"], (["decompose", "--method", "gs"], _G12, "s"), 0, _TRUE),
+    # this admissible dagger-fixed element must be certified at --tol 0
+    "q_admissible_at_tol_0": (["check", "--set", "q_adm", "--tol", "0"], '{"signature": {"p": 1, "q": 1}, "matrix": [[[1.4304335088954234, -3.0026681176639403e-17], [0.28071806934039173, -0.09116950581970082]], [[-0.2807180693403917, -0.09116950581970083], [0.6381879906178385, 4.8301160711395915e-17]]]}', 0, _TRUE),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code, want", _CLAIMS.values(), ids=_CLAIMS.keys())
+def test_claim_through_the_cli(tmp_path, capsys, monkeypatch, argv, stdin, code, want):
+    if isinstance(stdin, tuple):  # (argv, document, key): outputs[key] of that command's report
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin[1]))
+        stdin = json.dumps(_run_json(capsys, stdin[0])[1]["outputs"][stdin[2]])
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    (tmp_path / "eye.json").write_text(_EYE)  # the one document that a case passes by path
+    got, rep = _run_json(capsys, [str(tmp_path / "eye.json") if arg == _EYE else arg for arg in argv])
+    assert got == code
+    for path, value in want.items():
+        section, field = path.split(".")
+        if isinstance(value, np.ndarray):  # entrywise within 1e-12 of value, relative
+            assert np.all(np.abs(_doc_to_matrix(rep[section][field]) - value) <= 1e-12 * np.abs(value))
+        else:  # of value's type too, so 1 is not True
+            assert (rep[section][field], type(rep[section][field])) == (value, type(value))
 
 
 # ---------------------------------------------------------------------------

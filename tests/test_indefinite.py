@@ -35,6 +35,13 @@ def test_signature_rejects_degenerate(p, q):
         Signature(p, q)
 
 
+def test_signature_stores_integers():
+    with pytest.raises(TypeError):  # at construction, not at the first use of j_diag
+        Signature(2.0, 1)
+    sig = Signature(np.int64(2), np.int32(1))
+    assert sig == SIG21 and type(sig.p) is int and type(sig.q) is int
+
+
 def test_signature_j_matrix():
     sig = Signature(2, 3)
     assert sig.n == 5
@@ -256,6 +263,13 @@ def test_sample_cone_lands_in_requested_class(cls):
         sig = Signature(1 + seed % 3, 1 + seed % 2)
         x = sample_cone(cls, sig, seed)
         assert classify(x, sig) is cls
+
+
+@pytest.mark.parametrize("cls", list(ConeClass))
+def test_sample_cone_takes_a_class_by_its_value(cls):
+    np.testing.assert_array_equal(sample_cone(cls.value, SIG21, 3), sample_cone(cls, SIG21, 3))
+    with pytest.raises(ValueError):
+        sample_cone("lightlike", SIG21, 3)
 
 
 def test_sample_cone_null_contract():
