@@ -33,7 +33,6 @@ from .groups import GroupTag, is_member
 from .indefinite import Signature, _classify, _cone_margins
 from .iwasawa import decompose_gauss, decompose_gs, dress, sym
 from .kernel import DEFAULT_TOL, _frobenius
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -155,6 +154,8 @@ def cmd_classify(args) -> tuple[dict, dict]:
 def cmd_selftest(args) -> tuple[dict, dict]:
     if not 2 <= args.nmax <= 8:
         raise ParseError("selftest: --nmax must be between 2 and 8")
+    from .selftest import run_selftest  # imported here, so no other command compiles or loads it
+
     results = run_selftest(args.nmax, args.trials, args.seed)
     outputs = {
         r.name: {"passed": r.passed, "trials": r.trials, "worst": r.worst, "detail": r.detail}

@@ -79,9 +79,13 @@ def _unitary_defect(M: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarr
     """``(dagger(M) M - I, window)``: the SU(p, q) defect matrix of M and the
     bound on its Frobenius norm, ``tol * scale + kernel._rounding_bound(n) *
     scale^2`` with ``scale = max(1, ||M||_F)``.  The second term is the
-    rounding of the product, so ``tol = 0`` still accepts a computed factor."""
+    rounding of the product, so ``tol = 0`` still accepts a computed factor.
+    I is subtracted from the product's diagonal in place, which gives the
+    bits of ``dagger(M) M - np.eye(n)`` without allocating I."""
     scale = max(1.0, _frobenius(M))
-    return _dagger(M, sig.j_diag) @ M - np.eye(sig.n), tol * scale + _rounding_bound(sig.n) * scale * scale
+    gram = _dagger(M, sig.j_diag) @ M
+    gram.flat[:: sig.n + 1] -= 1.0
+    return gram, tol * scale + _rounding_bound(sig.n) * scale * scale
 
 
 def _pseudo_unitary(M: np.ndarray, sig: Signature, tol: float) -> bool:
@@ -103,12 +107,12 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
         floor = max(tol, _rounding_bound(sig.n))
         return _frobenius(_dagger(M, sig.j_diag) - M) <= floor * scale and _det_is_one(M, tol)
 
-    strictly_lower_ok = _frobenius(np.tril(M, -1)) <= tol * scale
+    strictly_lower_ok = _frobenius(M[sig.lower_mask]) <= tol * scale
     diag = M.diagonal()
-    diag_pos = bool(np.all(diag.real > 0) and np.all(np.abs(diag.imag) <= tol * np.abs(diag)))
+    diag_pos = bool((diag.real > 0).all() and (np.abs(diag.imag) <= tol * np.abs(diag)).all())
 
     if tag is GroupTag.N:
-        return strictly_lower_ok and bool(np.all(np.abs(diag - 1.0) <= tol))
+        return strictly_lower_ok and bool((np.abs(diag - 1.0) <= tol).all())
     if tag is GroupTag.A:
         off = _frobenius(M - np.diag(diag))
         return off <= tol * scale and diag_pos and _det_is_one(M, tol)

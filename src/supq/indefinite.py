@@ -26,7 +26,9 @@ class Signature:
     """The pair (p, q), p >= 1 and q >= 1, fixing the form diag(+1 x p, -1 x q).
 
     p and q are stored as ints; a numpy integer is accepted, and a value
-    that is not an integer (2.0 included) raises ``TypeError``."""
+    that is not an integer (2.0 included) raises ``TypeError``.  The arrays
+    that every call at this signature reads (:attr:`j_diag`, :attr:`J` and
+    :attr:`lower_mask`) are built on first use, cached and read-only."""
 
     p: int
     q: int
@@ -44,17 +46,23 @@ class Signature:
     @cached_property
     def j_diag(self) -> np.ndarray:
         """Diagonal of J as a real vector (+1 x p, -1 x q). Read-only."""
-        j = np.ones(self.n)
-        j[self.p :] = -1.0
-        j.setflags(write=False)
-        return j
+        return _read_only(np.repeat([1.0, -1.0], [self.p, self.q]))
 
     @cached_property
     def J(self) -> np.ndarray:
         """The matrix J = diag(+1 x p, -1 x q) as complex128. Read-only."""
-        J = np.diag(self.j_diag).astype(np.complex128)
-        J.setflags(write=False)
-        return J
+        return _read_only(np.diag(self.j_diag).astype(np.complex128))
+
+    @cached_property
+    def lower_mask(self) -> np.ndarray:
+        """Boolean n x n mask of the strictly lower triangle, which AN and N
+        hold at zero. Read-only."""
+        return _read_only(np.tri(self.n, k=-1, dtype=bool))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class ConeClass(enum.Enum):
@@ -167,8 +175,18 @@ def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The symmetrization dagger(b) b of a validated or library-built n x n
     complex matrix.  A product that overflows raises the
     :class:`NonFiniteInput` that validating it would have raised."""
-    h = _dagger(b, j) @ b
-    if not np.all(np.isfinite(h)):
+    return _finite(_dagger(b, j) @ b)
+
+
+def _j_sym(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``J dagger(x) x``, formed as ``x* (J x)`` in one product, with
+    :func:`_sym`'s finiteness check.  Every sign flip of J is exact, so it has
+    the bits of ``j[:, None] * _sym(x, j)`` at two fewer elementwise passes."""
+    return _finite(x.conj().T @ (j[:, None] * x))
+
+
+def _finite(h: np.ndarray) -> np.ndarray:
+    if not np.isfinite(h).all():
         raise NonFiniteInput("matrix contains NaN or Inf entries")
     return h
 

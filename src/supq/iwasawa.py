@@ -39,7 +39,7 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
-from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _sym
+from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _j_sym, _sym
 from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, mat_exp
 
 
@@ -63,7 +63,7 @@ class DecompPair:
         """The pair (s, b) of ``g``, with b split as diag(a) @ n_factor."""
         a = b.diagonal().real.copy()
         n_factor = b / a[:, None]
-        np.fill_diagonal(n_factor, 1.0)
+        n_factor.flat[:: a.size + 1] = 1.0
         return cls(s=s, b=b, a=a, n_factor=n_factor, residual=_frobenius(g - s @ b))
 
 
@@ -124,7 +124,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         exceeds the float range.
     """
     g = _require(g, GroupTag.G, sig, tol)
-    return _certified(g, sig, tol, lambda x: _gs_step(x, sig, tol))
+    return DecompPair.of(g, *_certified(g, sig, tol, lambda x: _gs_step(x, sig, tol)))
 
 
 def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,11 +203,12 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
         Of kind ``unitary_check`` if s misses the SU(p, q) defect window
         after the second step (index: worst column).
     """
-    return _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
+    g = _require(g, GroupTag.G, sig, tol)
+    return DecompPair.of(g, *_gauss(g, sig, tol))
 
 
-def _gauss(g: np.ndarray, sig: Signature, tol: float) -> DecompPair:
-    """The Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
+def _gauss(g: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, b)`` of the Gauss route on a validated det-1 ``g`` (see :func:`decompose_gauss`)."""
     return _certified(g, sig, tol, lambda x: _gauss_step(x, sig))
 
 
@@ -215,8 +216,8 @@ def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss step: ``(x b^{-1}, b)`` with b the blocked J-Cholesky factor
     of ``J dagger(x) x``, every pivot judged at the rounding bound; if it
     declines, the signed LDL* loop names the refusal and raises."""
-    j, bound = sig.j_diag, _rounding_bound(sig.n)
-    jh = j[:, None] * _sym(x, j)
+    bound = _rounding_bound(sig.n)
+    jh = _j_sym(x, sig.j_diag)
     b = _j_cholesky(jh, sig.p, bound)
     if b is None:
         _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
@@ -225,14 +226,16 @@ def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     return x @ np.linalg.inv(b), b
 
 
-def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> DecompPair:
-    """The pair of ``g`` from ``step(g) = (s, b)``, accepted only when s
+def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``(s, b)`` of ``g`` from ``step(g)``, accepted only when s
     passes ``groups._pseudo_unitary``, the defect half of ``is_member(s,
     G0)``.  Otherwise ``step`` runs once more on s, s <- s b2^{-1} and b <-
     b2 b, refining s itself rather than starting again from g, which stalls
     at high cond(g).  The determinant det(s) = det(g) / prod(a) is not judged
     again, so an s accepted near the edge of the window can miss det 1 by
-    about its defect, and fail ``is_member(s, G0)`` (ROADMAP item 3)."""
+    about its defect, and fail ``is_member(s, G0)`` (ROADMAP item 3).  The
+    caller builds its result from the factors: ``decompose_*`` a
+    :class:`DecompPair`, :func:`dress` only the residual."""
     s, b = step(g)
     if not _pseudo_unitary(s, sig, tol):
         s, b2 = step(s)
@@ -241,9 +244,9 @@ def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> DecompPair:
             gram, window = _unitary_defect(s, sig, tol)
             raise NotDecomposable(
                 f"recovered factor failed the pseudo-unitarity check: defect {_frobenius(gram):.3e} > {window:.3e}",
-                index=int(np.argmax(np.linalg.norm(gram, axis=0))) + 1, kind="unitary_check",
+                index=int(np.argmax(_frobenius(gram, axis=0))) + 1, kind="unitary_check",
             )
-    return DecompPair.of(g, s, b)
+    return s, b
 
 
 @_quiet
@@ -251,6 +254,10 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     """Right dressing action: factor b g = g_prime b_prime.
 
     Defined whenever b g is decomposable; for admissible b it always is.
+    The factors are the Gauss route's on ``b g``, with the same bits as
+    :func:`decompose_gauss` of that product; only the residual is formed
+    from them, since the action needs neither the diagonal nor the
+    unit-triangular part of b_prime.
 
     Raises
     ------
@@ -261,8 +268,9 @@ def dress(b, g, sig: Signature, tol: float = DEFAULT_TOL) -> DressResult:
     """
     b = _require(b, GroupTag.AN, sig, tol)
     g = _require(g, GroupTag.G0, sig, tol)
-    pair = _gauss(b @ g, sig, tol)
-    return DressResult(g_prime=pair.s, b_prime=pair.b, residual=pair.residual)
+    bg = b @ g
+    s, b_prime = _gauss(bg, sig, tol)
+    return DressResult(g_prime=s, b_prime=b_prime, residual=_frobenius(bg - s @ b_prime))
 
 
 @_quiet
@@ -329,9 +337,9 @@ def decompose_g_admissible(
     NotAdmissible
         If the triangular factor fails the admissibility check.
     """
-    pair = _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
-    report = _admissibility_report(_sym(pair.b, sig.j_diag), sig, tol, sylvester=True)
+    s, b = _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
+    report = _admissibility_report(_sym(b, sig.j_diag), sig, tol, sylvester=True)
     if not report.admissible:
         raise NotAdmissible(f"triangular factor is not admissible: {report.reason}", report)
     spectrum = np.sqrt(np.maximum(report.eigenvalues.real, 0.0))
-    return pair.s, pair.b, spectrum
+    return s, b, spectrum

@@ -169,6 +169,27 @@ def test_membership_verdicts_hold_at_every_scale(case):
         assert is_member(bad, tag, sig) is False, tag
 
 
+@pytest.mark.parametrize("tag", [GroupTag.AN, GroupTag.N])
+def test_strictly_lower_verdict_straddles_its_window(tag):
+    # one strictly lower entry at (n, 1), just inside or just outside
+    # tol * max(1, ||M||_F); with row 1 zero off the diagonal its cofactor
+    # vanishes, so the determinant stays 1 and the lower window alone decides
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        M = random_an(sig, rng, spread=float(rng.uniform(0.5, 3.0)))
+        if tag is GroupTag.N:
+            M /= M.diagonal()[:, None]
+        M[0, 1:] = 0.0
+        scale = max(1.0, np.linalg.norm(M))
+        for f in (0.99, 1 - 1e-6, 1 + 1e-6, 1.01):
+            P = M.copy()
+            P[n - 1, 0] = f * 1e-9 * scale * (0.6 + 0.8j)
+            reference = np.linalg.norm(np.tril(P, -1)) <= 1e-9 * max(1.0, np.linalg.norm(P))
+            assert is_member(P, tag, sig) is bool(reference) is (f < 1), (n, f)
+
+
 def test_clearly_wrong_determinant_rejected_at_any_scale():
     M = np.diag([1e4, 2.0 / 1e4]).astype(complex)  # det 2
     assert not is_member(M, GroupTag.A, SIG11)

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name is used in the package, only public calls enter an
-errstate, each LAPACK eigensolver and Cholesky has one caller, and the
-numpy-only paths never load scipy."""
+errstate, each LAPACK eigensolver and Cholesky has one caller, the norms go
+through one helper, and the numpy-only paths never load scipy (nor the CLI's
+decompose the selftest module)."""
 
 import ast
 import json
@@ -91,8 +92,28 @@ def test_one_general_eigensolver_and_one_cholesky():
                              ("kernel", "_spectrum", "eigvals")]
 
 
+def test_one_frobenius_norm_and_no_slow_triangle_helpers():
+    # every norm goes through kernel._frobenius, which keeps the overflow
+    # rescale, except the two whose output bits are draw contracts; the hot
+    # path reads triangles through Signature.lower_mask and sets diagonals
+    # through flat, not through np.tril or np.fill_diagonal
+    norms, helpers = set(), set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr == "norm" and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                    norms.add((path.stem, getattr(top, "name", "<module>")))
+                elif node.attr in ("tril", "fill_diagonal") and isinstance(node.value, ast.Name):
+                    helpers.add((path.stem, node.attr))
+    assert sorted(norms) == [("groups", "random_g0"), ("indefinite", "_sample_cones"), ("kernel", "_frobenius")]
+    assert sorted(helpers) == []
+
+
 # One call of each numpy-only public path, the CLI's decompose included;
-# mat_exp must still work and is the call that loads scipy.
+# mat_exp must still work and is the call that loads scipy.  The CLI imports
+# the selftest module only for the selftest command.
 _SCIPY_FREE_CALLS = """
 import json
 import sys
@@ -113,8 +134,9 @@ supq.classify([2.0, 1.0], sig)
 supq.check_admissible_an(b, sig)
 code = cli.main(["decompose", "--json", "--in", sys.argv[1]])
 before = "scipy" in sys.modules
+selftest = "supq.selftest" in sys.modules
 exp0 = supq.mat_exp(np.zeros((2, 2)))
-print(json.dumps({"code": code, "before": before, "after": "scipy" in sys.modules,
+print(json.dumps({"code": code, "before": before, "selftest": selftest, "after": "scipy" in sys.modules,
                   "exp_is_identity": bool(np.array_equal(exp0, np.eye(2)))}))
 """
 
@@ -129,4 +151,4 @@ def test_numpy_only_paths_do_not_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    assert result == {"code": 0, "before": False, "after": True, "exp_is_identity": True}
+    assert result == {"code": 0, "before": False, "selftest": False, "after": True, "exp_is_identity": True}

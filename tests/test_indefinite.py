@@ -13,6 +13,8 @@ from supq.indefinite import (
     ConeClass,
     Signature,
     _cone_margins,
+    _j_sym,
+    _sym,
     classify,
     dagger,
     norm_sq,
@@ -55,6 +57,27 @@ def test_signature_arrays_are_read_only():
         sig.j_diag[0] = -1.0
     with pytest.raises(ValueError):
         sig.J[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sig.lower_mask[1, 0] = False
+
+
+def test_signature_lower_mask_is_the_strict_lower_triangle():
+    sig = Signature(2, 3)
+    np.testing.assert_array_equal(sig.lower_mask, np.tril(np.ones((5, 5), bool), -1))
+    assert sig.lower_mask is sig.lower_mask  # cached
+
+
+def test_j_sym_has_the_bits_of_j_times_sym():
+    # x* (J x) flips the same signs as J (J x* J) x, exactly, so the one-product
+    # form must not move a bit, at any size or row scale
+    rng = np.random.default_rng(29)
+    for n in range(2, 33):
+        for _ in range(4):
+            p = int(rng.integers(1, n))
+            j = Signature(p, n - p).j_diag
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x *= 10.0 ** rng.uniform(-100, 100, (n, 1))
+            np.testing.assert_array_equal(_j_sym(x, j), j[:, None] * _sym(x, j), strict=True)
 
 
 # ---------------------------------------------------------------------------

@@ -816,6 +816,22 @@ def test_dress_factorizes_the_product():
         assert is_member(out.b_prime, GroupTag.AN, sig, 1e-9)
 
 
+def test_dress_has_the_bits_of_the_gauss_route_on_the_product():
+    # dress builds no DecompPair, but its g', b' and residual are those of
+    # decompose_gauss(b g), bit for bit, far from the identity too
+    rng = np.random.default_rng(211)
+    for i in range(60):
+        n = 2 + i % 7
+        p = int(rng.integers(1, n))
+        sig = Signature(p, n - p)
+        b = random_admissible_an(sig, rng)
+        g = random_g0(sig, rng, spread=float(rng.uniform(0.5, 6.0)))
+        out, pair = dress(b, g, sig), decompose_gauss(b @ g, sig)
+        np.testing.assert_array_equal(out.g_prime, pair.s, strict=True)
+        np.testing.assert_array_equal(out.b_prime, pair.b, strict=True)
+        assert out.residual == pair.residual, i
+
+
 def test_dress_preconditions():
     g = random_g0(SIG11, 41, spread=0.5)
     with pytest.raises(NotInAN):

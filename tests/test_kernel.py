@@ -161,6 +161,21 @@ def test_frobenius_matches_numpy_and_rescales_only_an_overflowing_norm():
     np.testing.assert_array_equal(np.delete(cols, 1), np.delete(plain, 1))  # the finite columns, zero included
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "fancy", "masked", "real"])
+def test_frobenius_is_within_2n_eps_of_numpy_on_any_layout(layout):
+    # one vdot sums in another order than np.linalg.norm's two real dots, so
+    # the two agree to the rounding of an n-term sum, n the number of entries
+    rng = np.random.default_rng(11)
+    for n in range(1, 33):
+        big = rng.standard_normal((2 * n, 3 * n)) + 1j * rng.standard_normal((2 * n, 3 * n))
+        big *= 10.0 ** rng.uniform(-100, 100, (2 * n, 1))
+        x = {"contiguous": big[:n, :n].copy(), "transposed": big[:n, :n].T, "strided": big[::2, ::3],
+             "fancy": big[[n - 1, 0, n // 2]][:, [2, 0, 1]], "masked": big[:n, :n][np.tri(n, k=-1, dtype=bool)],
+             "real": big.real[::2, ::3]}[layout]
+        ref = np.linalg.norm(x)
+        assert abs(_frobenius(x) - ref) <= 2 * x.size * np.finfo(float).eps * ref, (n, layout)
+
+
 def test_eig_zero_residual_budget_rejected():
     # a generic matrix has a strictly positive residual, so tol_eig=0 must fail
     rng = np.random.default_rng(3)
