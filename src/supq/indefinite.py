@@ -100,16 +100,21 @@ def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:
     return complex(np.sum(j * x * np.conj(y)))
 
 
-def _cone_margins(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cone_margins(x: np.ndarray, p: int) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | int]:
     """``(<y, y>, ||y||_2^2, k)`` of each row ``y = 2**-k x`` of a vector or stack of
     rows x, k = 0 unless the row's sum of squares overflows or leaves the normal
     range.  The scaling is exact, so each pair gives its row's cone class and
     relative margin at any scale; a NaN or Inf row gets a non-finite ``||y||^2``.
     The two block sums are dot products over x made C-contiguous, so a row
-    gets the same bits alone, inside a stack and whatever its memory layout."""
+    gets the same bits alone, inside a stack and whatever its memory layout.
+    One vector whose sum of squares is normal gets the same bits as Python
+    floats and ``k = 0``, through one scalar comparison."""
     x = np.ascontiguousarray(x)
-    pos, neg = np.vecdot(x[..., :p], x[..., :p]).real, np.vecdot(x[..., p:], x[..., p:]).real
+    head, tail = x[..., :p], x[..., p:]
+    pos, neg = np.vecdot(head, head).real, np.vecdot(tail, tail).real
     e2 = pos + neg
+    if x.ndim == 1 and sys.float_info.min <= e2 < math.inf:
+        return float(pos - neg), float(e2), 0
     k = np.zeros(e2.shape, int)
     normal = (e2 >= sys.float_info.min) & (e2 < math.inf)
     if not normal.all():  # frexp gives a zero exponent to a zero, NaN or Inf peak

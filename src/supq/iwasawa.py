@@ -131,11 +131,15 @@ def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.
     """One pass of :func:`decompose_gs`'s column loop on ``R``, which it only
     reads: ``(s, b)`` with s a fresh C-contiguous array.  Column k of R is the
     contiguous row ``C[k]`` of a row-major copy, so projecting u_k out of the
-    later columns is one matrix-vector product and one rank-1 update."""
+    later columns is one matrix-vector product, written straight into row k
+    of b, and one in-place rank-1 update.  ``conj(u_k) * ±j`` is formed in
+    one buffer per pass, with the sign vectors built once; the column test
+    reads Python floats from :func:`_cone_margins`."""
     n, p = sig.n, sig.p
-    j = sig.j_diag
+    signs = (sig.j_diag, -sig.j_diag)
     C = R.T.copy()
     B = np.zeros((n, n), dtype=np.complex128)
+    w = np.empty(n, dtype=np.complex128)
     for k in range(n):
         r = C[k]
         ns, e2, scale = _cone_margins(r, p)
@@ -161,9 +165,10 @@ def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.
         r /= rk
         if k == n - 1:
             break
-        c = C[k + 1:] @ (r.conj() * (j if k < p else -j))
-        C[k + 1:] -= c[:, None] * r
-        B[k, k + 1:] = c
+        np.conjugate(r, out=w)
+        np.multiply(w, signs[k >= p], out=w)
+        rest = C[k + 1:]
+        rest -= np.matmul(rest, w, out=B[k, k + 1:])[:, None] * r
     return C.T.copy(), B
 
 

@@ -1,5 +1,6 @@
 """Signature geometry: pairing, dagger, cone trichotomy, cone sampling."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,33 @@ def test_cone_margins_do_not_depend_on_memory_layout():
         stacked = [np.asarray(part[k]).tobytes() for part in _cone_margins(R[:, :m].T, p)]
         for x in (R[:, k], R[:, k].copy()):
             assert [np.asarray(part).tobytes() for part in _cone_margins(x, p)] == stacked
+
+
+def test_one_normal_vector_takes_the_float_exit_with_the_bits_of_its_stacked_row():
+    # one vector whose sum of squares is normal comes back as Python floats and
+    # k = 0; every other vector, and every stack, keeps the power-of-two rescale
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    edges = {  # name: (first entry, sum of squares is normal)
+        "e2 is the least normal": (2.0**-511, True),
+        "e2 is the largest subnormal": (2.0**-511 * np.nextafter(1.0, 0.0), False),
+        "e2 is just below overflow": (np.sqrt(huge), True),
+        "e2 overflows": (2.0**512, False),
+        "zero": (0.0, False),
+        "NaN entry": (np.nan, False),
+    }
+    X = np.zeros((len(edges), 4), dtype=np.complex128)
+    X[:, 0] = [first for first, _ in edges.values()]
+    with np.errstate(over="ignore", invalid="ignore"):  # the helper leaves this to its callers
+        e2 = np.vecdot(X, X).real
+        runs = {p: (_cone_margins(X, p), [_cone_margins(x, p) for x in X]) for p in (1, 2, 3)}
+    assert e2[0] == tiny and e2[1] == np.nextafter(tiny, 0.0) and huge / 2 < e2[2] < np.inf and e2[3] == np.inf
+    for stacked, rows in runs.values():
+        assert all(type(part) is np.ndarray for part in stacked)
+        for i, ((name, (_, normal)), single) in enumerate(zip(edges.items(), rows)):
+            # (<y, y>, ||y||^2, k), k included, bit for bit
+            assert [np.asarray(part[i]).tobytes() for part in stacked] == [np.asarray(part).tobytes() for part in single], name
+            took_exit = type(single[0]) is float and type(single[1]) is float and type(single[2]) is int
+            assert took_exit is normal, name
 
 
 # ---------------------------------------------------------------------------
