@@ -40,7 +40,7 @@ from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, _definite, _j_cholesky, _quiet, _rounding_bound, _spectrum, as_cmatrix
+from .kernel import DEFAULT_TOL, _definite, _j_cholesky, _lapack, _quiet, _rounding_bound, _spectrum, as_cmatrix
 
 #: Floor for the relative "eigendirection is pairing-null" threshold of the
 #: labelling, which names refusals and decides no verdict.  A defective
@@ -135,20 +135,23 @@ def check_admissible_q(s, sig: Signature, tol: float = DEFAULT_TOL) -> Admissibi
     return _admissibility_report(_require(s, GroupTag.Q, sig, tol), sig, tol)
 
 
-def _admissibility_report(s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False) -> AdmissibilityReport:
+def _admissibility_report(s: np.ndarray, sig: Signature, tol: float, sylvester: bool = False,
+                          spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> AdmissibilityReport:
     """:func:`check_admissible_q`'s verdict on a validated or library-built Q element
     ``s``, from its eigenvalues alone (:func:`~supq.kernel._spectrum`): the pencil
     ``(J s, J)`` passes :func:`_gap_certificate` at ``rel = tol``, whose width is the
     margin, and ``In(J s) = (p, q)``.  Only a refusal computes the eigenvectors,
     through the same ``_spectrum``, and :func:`_labelled_report` names it from them.
     ``sylvester`` says that ``s = dagger(b) b``, so that ``In(J s) = In(b* J b) =
-    (p, q)`` needs no J-Cholesky."""
-    vals = _spectrum(s)[0]
+    (p, q)`` needs no J-Cholesky.  A caller that needs the eigenpairs anyway, as
+    ``q_log`` does, passes ``spectrum = kernel._spectrum(s, vectors=True)``: its
+    eigenvalues place the shift and the pair names a refusal, so ``s`` is solved once."""
+    vals = _spectrum(s)[0] if spectrum is None else spectrum[0]
     js, p = sig.j_diag[:, None] * s, sig.p
     margin = _gap_certificate(js, vals, sig, tol)
     if margin and (sylvester or _j_cholesky(js, p, _rounding_bound(sig.n)) is not None):
         return AdmissibilityReport(True, vals, vals.real[:p].tolist(), vals.real[p:].tolist(), margin, "admissible")
-    return _labelled_report(*_spectrum(s, vectors=True), sig, tol)
+    return _labelled_report(*(spectrum or _spectrum(s, vectors=True)), sig, tol)
 
 
 def _labelled_report(vals: np.ndarray, V: np.ndarray, sig: Signature, tol: float) -> AdmissibilityReport:
@@ -157,7 +160,9 @@ def _labelled_report(vals: np.ndarray, V: np.ndarray, sig: Signature, tol: float
     never admissible.  The first name is "complex eigenvalues", for an imaginary part
     above ``max(tol, kernel._rounding_bound(n)) * (1 + |real|)``; that window only
     names the refusal.  A spectrum real to it is named from the eigenvectors' pairing
-    labels."""
+    labels.  A failed Hermitian eigensolve of the pairing Gram (LAPACK's all-NaN
+    output) labels no direction, so it names the refusal "inertia mismatch: 0
+    timelike directions"."""
     if np.any(np.abs(vals.imag) > max(tol, _rounding_bound(sig.n)) * (1.0 + np.abs(vals.real))):
         return AdmissibilityReport(False, vals, reason="complex eigenvalues")
     lam = vals.real
@@ -170,7 +175,7 @@ def _labelled_report(vals: np.ndarray, V: np.ndarray, sig: Signature, tol: float
     # its largest entry.  Directions are read in (cluster, ascending gamma) order.
     cluster = np.concatenate(([0], np.cumsum(lam[:-1] - lam[1:] > tol * (1.0 + np.abs(lam[1:])))))
     gram = np.where(cluster[:, None] == cluster, V.conj().T @ (sig.j_diag[:, None] * V), 0.0)
-    gamma, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    gamma, U = _lapack.eigh_lo(0.5 * (gram + gram.conj().T), signature="D->dD")
     owner = cluster[np.argmax(np.abs(U), axis=0)]
     order = np.argsort(owner, kind="stable")
     gamma, W = gamma[order], V @ U[:, order]

@@ -40,7 +40,8 @@ from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _j_sym, _sym
-from .kernel import DEFAULT_TOL, _frobenius, _j_cholesky, _quiet, _rounding_bound, _signed_ldl, _spectrum, mat_exp
+from .kernel import (DEFAULT_TOL, _frobenius, _j_cholesky, _lapack, _quiet, _rounding_bound, _signed_ldl, _spectrum,
+                     mat_exp)
 
 
 @dataclass
@@ -228,7 +229,7 @@ def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
         _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
     # partial pivoting swaps no rows of this upper triangular b: the LU
     # inverse is a plain back-substitution.
-    return x @ np.linalg.inv(b), b
+    return x @ _lapack.inv(b, signature="D->D"), b
 
 
 def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +285,11 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The verdict is :func:`~supq.admissible.check_admissible_q`'s, reached
     through the same call; an admissible s has a real positive spectrum.
-    Only then are its eigenpairs computed, and the log is taken through
-    them, then projected back onto the traceless dagger-fixed subspace to
-    clear rounding.  The certificate reads no eigenvalue's sign, so an
+    The eigenpairs are computed once: their eigenvalues place the
+    certificate's shift, the pair names a refusal, and for an admissible s
+    the log is taken through them, then projected back onto the traceless
+    dagger-fixed subspace to clear rounding.  The certificate reads no
+    eigenvalue's sign, so an
     eigensolver that returns a small eigenvalue as 0 or below (as for
     ``diag(1e250, 1e-250)``) leaves no log to take, and the call raises
     NoConvergence.  The eigenpairs of the small eigenvalues carry an
@@ -300,19 +303,21 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         If ``s`` is not in Q to tolerance, or is not admissible; the report
         is attached to NotAdmissible.
     NoConvergence
-        If the eigensolver returns an eigenvalue <= 0 of an admissible ``s``,
-        or if exp of the result misses ``s`` by more than ``10 * max(tol,
-        kernel._rounding_bound(n)) * max(1, ||s||_F)``.
+        If the eigensolver fails or returns an eigenvalue <= 0 of an
+        admissible ``s``, if LAPACK finds the eigenvector basis singular (a
+        non-finite log), or if exp of the result misses ``s`` by more than
+        ``10 * max(tol, kernel._rounding_bound(n)) * max(1, ||s||_F)``.
     """
     s = _require(s, GroupTag.Q, sig, tol)
-    report = _admissibility_report(s, sig, tol)
+    vals, V = _spectrum(s, vectors=True)
+    report = _admissibility_report(s, sig, tol, spectrum=(vals, V))
     if not report.admissible:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
-    vals, V = _spectrum(s, vectors=True)
     if vals.real[-1] <= 0:
         raise NoConvergence(f"the eigensolver lost an eigenvalue of this admissible element: {vals.real[-1]:.3e}")
-    logw = np.log(vals.real)
-    X = np.linalg.solve(V.T, (V * logw).T).T
+    X = _lapack.solve(V.T, (V * np.log(vals.real)).T, signature="DD->D").T
+    if not np.isfinite(X).all():  # NaN where LAPACK found the eigenvector basis singular
+        raise NoConvergence("the eigenvector basis is singular to working precision")
     X = 0.5 * (X + _dagger(X, sig.j_diag))
     X -= (np.trace(X).real / sig.n) * np.eye(sig.n)
     defect = _frobenius(mat_exp(X) - s)

@@ -13,6 +13,15 @@ scipy is imported on the first call of :func:`mat_exp` or
 :func:`solve_upper_triangular`, not with the module: the decomposition,
 membership and admissibility paths run on numpy alone.
 
+Every LAPACK call of the decomposition and admissibility paths goes
+through ``_lapack``, numpy's own LAPACK gufuncs (``numpy.linalg._umath_linalg``,
+loaded by ``import numpy``), called with an explicit complex signature:
+the same routines as numpy.linalg's wrappers, so the same bits, without
+their Python-level conversions and errstate.  A LAPACK failure is read
+from the output, which the gufunc fills with NaN exactly when LAPACK
+reports info != 0, raising only the floating-point invalid flag that the
+public call's ``_quiet`` ignores.
+
 Sizes are desk scale: the eigensolver is capped at n = 32.
 """
 
@@ -23,6 +32,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import (
     DimensionMismatch,
@@ -111,14 +121,15 @@ def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndar
     check, which need no vectors and no residual check because the
     certificate proves the gap itself; the eigenpairs that name a refused
     admissibility check; and the eigenpairs of ``q_log``, which its
-    reconstruction window judges."""
+    reconstruction window judges.  ``M`` must be finite: LAPACK's QR
+    iteration is not guarded against NaN or Inf, and a NaN eigenvalue is
+    read as its failure."""
     n = M.shape[0]
     if n > EIG_SIZE_CAP:
         raise DimensionMismatch(f"eigensolver is capped at n={EIG_SIZE_CAP}, got n={n}")
-    try:
-        vals, vecs = np.linalg.eig(M) if vectors else (np.linalg.eigvals(M), None)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
+    vals, vecs = _lapack.eig(M, signature="D->DD") if vectors else (_lapack.eigvals(M, signature="D->D"), None)
+    if np.isnan(vals).any():  # the gufunc's NaN fill: LAPACK reported a failure
+        raise NoConvergence("QR iteration did not converge")
     order = np.lexsort((-vals.imag, -vals.real))
     return vals[order], None if vecs is None else vecs[:, order]
 
@@ -260,11 +271,9 @@ def _definite(A: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray | None
     (lower triangle read) when every pivot ``L_kk^2`` clears :func:`_pivot_clears`
     against ``scale_k + sum_{i<k} |L_ki|^2``, with ``scale_k`` the magnitudes that
     formed ``A_kk`` and the sum read off ``A_kk = L_kk^2 + sum_{i<k} |L_ki|^2``;
-    else None."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
+    else None.  Where LAPACK finds a pivot <= 0 the factor is all NaN, which
+    clears no pivot, so a failure needs no exception."""
+    L = _lapack.cholesky_lo(A, signature="D->D")
     pivot = L.diagonal().real ** 2
     return L if _pivot_clears(pivot, scale + (A.diagonal().real - pivot), tol).all() else None
 
@@ -284,7 +293,7 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     C1 = _definite(Hs[:p, :p], h[:p], tol)
     if C1 is None:
         return None
-    X = np.linalg.solve(C1, Hs[:p, p:])
+    X = _lapack.solve(C1, Hs[:p, p:], signature="DD->D")
     XX = X.conj().T @ X
     C2 = _definite(XX - Hs[p:, p:], h[p:] + XX.diagonal().real, tol)
     if C2 is None:

@@ -11,7 +11,7 @@ from supq.groups import random_g0
 from supq.indefinite import Signature, dagger
 from supq.errors import NoConvergence, NonFiniteInput, NotAdmissible
 from supq.iwasawa import dress, q_log, sym
-from supq.kernel import DEFAULT_TOL, eig
+from supq.kernel import DEFAULT_TOL, _quiet, eig
 from supq.selftest import random_admissible_an, random_admissible_q, random_nonadmissible_q, random_signature
 from supq.su11 import Su11ANElement, su11_an_admissible
 
@@ -35,7 +35,8 @@ def test_certified_reports_match_the_labelling():
     certified = 0
     for kind, sig, s, sylvester in _draws(2026, 600):
         result = eig(s)
-        report = _admissibility_report(s, sig, DEFAULT_TOL, sylvester)
+        # a private helper runs under the errstate of the public call that reaches it
+        report = _quiet(_admissibility_report)(s, sig, DEFAULT_TOL, sylvester)
         labelled = _labelled_report(result.values, result.vectors, sig, DEFAULT_TOL)
         assert not labelled.admissible
         assert report.admissible == (kind != "nonadmissible_q")
@@ -43,7 +44,7 @@ def test_certified_reports_match_the_labelling():
         assert report.margin == pytest.approx(labelled.margin, rel=1e-12)
         assert report.timelike_values == pytest.approx(labelled.timelike_values, rel=1e-12)
         assert report.spacelike_values == pytest.approx(labelled.spacelike_values, rel=1e-12)
-        certified += _gap_certificate(sig.j_diag[:, None] * s, result.values, sig, DEFAULT_TOL) > 0
+        certified += _quiet(_gap_certificate)(sig.j_diag[:, None] * s, result.values, sig, DEFAULT_TOL) > 0
     assert certified == 400  # every admissible draw took the certificate, no gap violator did
 
 
@@ -156,7 +157,7 @@ def test_cone_certificate_never_contradicts_the_sampler(gap):
     for _ in range(40):
         sig = random_signature(rng, 6)
         s = _near_boundary_q(sig, rng, gap)
-        if _cone_certificate(s, sig, DEFAULT_TOL):
+        if _quiet(_cone_certificate)(s, sig, DEFAULT_TOL):
             certified += 1
             assert _cone_search(s, sig, 2000, int(rng.integers(2**32)), DEFAULT_TOL)
     if gap < 0:
@@ -169,7 +170,7 @@ def test_cone_certificate_agrees_with_the_sampler_on_the_selftest_generators():
     seeds = np.random.default_rng(8).integers(2**32, size=150)
     found = 0
     for (kind, sig, s, _), seed in zip(_draws(7, 150, n_max=6), seeds.tolist()):
-        certified = _cone_certificate(s, sig, DEFAULT_TOL)
+        certified = _quiet(_cone_certificate)(s, sig, DEFAULT_TOL)
         assert certified == (kind != "nonadmissible_q")
         searched = _cone_search(s, sig, 2000, seed, DEFAULT_TOL)
         assert searched or not certified

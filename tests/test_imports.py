@@ -1,10 +1,13 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name is used in the package, only public calls enter an
-errstate, each LAPACK eigensolver and Cholesky has one caller, the norms go
+errstate, every LAPACK call goes through kernel._lapack and each
+eigensolver and Cholesky has one caller, no public decomposition or
+admissibility call reaches a numpy.linalg wrapper, the norms go
 through one helper, and the numpy-only paths never load scipy (nor the CLI's
 decompose the selftest module)."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,8 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import supq
+from supq import admissible, kernel
 from supq.docio import dumps, matrix_to_doc
+from supq.groups import random_g0
 from supq.indefinite import Signature
+from supq.selftest import random_admissible_an, random_admissible_q, random_decomposable, random_nonadmissible_q
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -77,19 +84,100 @@ def test_errstate_is_entered_only_at_public_entries():
     assert sorted(name for name in quiet if name.startswith("_")) == []
 
 
+# Every LAPACK call of the decomposition and admissibility paths, as
+# (module, function, gufunc of kernel._lapack, its signature).
+LAPACK_CALLS = [
+    ("admissible", "_labelled_report", "eigh_lo", "D->dD"),
+    ("groups", "_det_is_one", "det", "D->D"),
+    ("iwasawa", "_gauss_step", "inv", "D->D"),
+    ("iwasawa", "q_log", "solve", "DD->D"),
+    ("kernel", "_definite", "cholesky_lo", "D->D"),
+    ("kernel", "_j_cholesky", "solve", "DD->D"),
+    ("kernel", "_spectrum", "eig", "D->DD"),
+    ("kernel", "_spectrum", "eigvals", "D->D"),
+]
+
+
 def test_one_general_eigensolver_and_one_cholesky():
-    # every general eigensolve goes through kernel._spectrum, which holds the
-    # size cap and the NoConvergence of a LAPACK failure, and every Cholesky
-    # through kernel._definite, which holds the pivot rule
-    found = set()
+    # every LAPACK call goes through numpy's gufunc, bound once as
+    # kernel._lapack, with an explicit complex signature: every general
+    # eigensolve through kernel._spectrum, which holds the size cap and the
+    # NoConvergence of a LAPACK failure, and every Cholesky through
+    # kernel._definite, which holds the pivot rule.  Only two numpy.linalg
+    # wrappers are left: the SVD of groups._det_is_one outside its plain
+    # window, and the determinants of leading_minors, off the hot path.
+    lapack, wrappers, binders = set(), set(), set()
     for path in MODULES:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        binders.update(path.stem for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and "_umath_linalg" in [a.name.split(".")[-1] for a in node.names])
+        for top in tree.body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr in ("eig", "eigvals", "cholesky")
-                        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
-                    found.add((path.stem, getattr(top, "name", "<module>"), node.attr))
-    assert sorted(found) == [("kernel", "_definite", "cholesky"), ("kernel", "_spectrum", "eig"),
-                             ("kernel", "_spectrum", "eigvals")]
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                    continue
+                site, base = (path.stem, getattr(top, "name", "<module>"), node.func.attr), node.func.value
+                if isinstance(base, ast.Name) and base.id == "_lapack":
+                    signature = [k.value.value for k in node.keywords if k.arg == "signature"]
+                    lapack.add((*site, *signature))
+                elif (isinstance(base, ast.Attribute) and base.attr == "linalg" and isinstance(base.value, ast.Name)
+                      and base.value.id == "np" and node.func.attr != "norm"):
+                    wrappers.add(site)
+    assert sorted(lapack) == LAPACK_CALLS
+    assert sorted(wrappers) == [("admissible", "leading_minors", "det"), ("groups", "_det_is_one", "cond")]
+    assert binders == {"kernel"}
+    for _, _, gufunc, signature in LAPACK_CALLS:
+        assert signature in getattr(kernel._lapack, gufunc).types, (gufunc, signature)
+
+
+# The numpy.linalg wrappers that kernel._lapack replaces on every path below.
+_WRAPPERS = ("cholesky", "det", "inv", "solve", "eig", "eigvals", "eigh")
+
+
+def _outputs(value):
+    """The arrays, numbers and strings of a call's result, in a fixed order."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) for x in _outputs(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _outputs(v)]
+    return [np.asarray(value)]
+
+
+def test_public_calls_reach_no_numpy_linalg_wrapper(monkeypatch):
+    # at n = 4 every decomposition and admissibility call runs with the seven
+    # wrappers raising, and returns the bits it returns without the patch
+    sig = Signature(2, 2)
+    rng = np.random.default_rng(31)
+    b = random_admissible_an(sig, rng, gap=0.1, spread=0.7)
+    g0 = random_g0(sig, rng, spread=0.7)
+    g = random_decomposable(sig, rng, gap=0.1)
+    good = random_admissible_q(sig, rng, gap=0.1, spread=0.7)
+    bad = random_nonadmissible_q(sig, rng)
+    calls = {
+        "dress": lambda: supq.dress(b, g0, sig),
+        "decompose_gauss": lambda: supq.decompose_gauss(g, sig),
+        "decompose_gs": lambda: supq.decompose_gs(g, sig),
+        "decompose_g_admissible": lambda: supq.decompose_g_admissible(g, sig),
+        "check_admissible_q certified": lambda: supq.check_admissible_q(good, sig),
+        "check_admissible_q refused": lambda: supq.check_admissible_q(bad, sig),
+        "check_admissible_an": lambda: supq.check_admissible_an(b, sig),
+        "q_log": lambda: supq.q_log(good, sig),
+        "cone_preservation_check certified": lambda: supq.cone_preservation_check(good, sig, trials=1),
+    }
+    expected = {name: _outputs(call()) for name, call in calls.items()}
+    assert expected["check_admissible_q certified"][0] and not expected["check_admissible_q refused"][0]
+    assert kernel._quiet(admissible._cone_certificate)(good, sig, kernel.DEFAULT_TOL)  # True without a search
+
+    def raising(*args, **kwargs):
+        raise AssertionError("a numpy.linalg wrapper ran")
+
+    for name in _WRAPPERS:
+        monkeypatch.setattr(np.linalg, name, raising)
+    for name, call in calls.items():
+        got = _outputs(call())
+        assert len(got) == len(expected[name]), name
+        for x, y in zip(got, expected[name]):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def test_one_frobenius_norm_and_no_slow_triangle_helpers():

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
         for kind, draw in draws.items():
             g = draw(sig)
             jh = g.conj().T @ sig.J @ g
-            b = kernel._j_cholesky(jh, p, tol)
+            b = kernel._quiet(kernel._j_cholesky)(jh, p, tol)  # as under the public call that reaches it
             ref, refusal = _loop_factor(jh, p, tol)
             assert (b is None) == (ref is None), (kind, n, p)
             if ref is not None:
@@ -432,7 +433,7 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
             ref, refusal = _loop_factor(jh, p, kernel._rounding_bound(n))
             if ref is None:
                 with pytest.raises(refusal[0]) as exc:
-                    iwasawa._gauss(g, sig, tol)
+                    kernel._quiet(iwasawa._gauss)(g, sig, tol)
                 assert exc.value.index == refusal[1], (kind, n, p)
     # at tol = 0 only an exactly vanishing pivot is singular
     assert seen == {"accepted", WrongInertia} | ({SingularMinor} if tol > 0 else set())
@@ -884,14 +885,45 @@ def test_q_log_rejects_identity_with_report():
     assert exc_info.value.report.reason == "gap violated"
 
 
+def _counted_spectra(monkeypatch) -> list[bool]:
+    """The ``vectors`` flag of every kernel._spectrum call admissible and iwasawa make from now on."""
+    calls, spectrum = [], kernel._spectrum
+
+    def counted_spectrum(M, vectors=False):
+        calls.append(vectors)
+        return spectrum(M, vectors)
+
+    for module in (admissible, iwasawa):
+        monkeypatch.setattr(module, "_spectrum", counted_spectrum)
+    return calls
+
+
 def test_q_log_refusal_computes_the_eigenpairs_once(monkeypatch):
-    # the verdict reads eigenvalues only; the refusal's name takes one eig
-    calls = []
-    linalg_eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M) or linalg_eig(M))
+    # q_log solves its eigenproblem once: the pair places the certificate's
+    # shift and names the refusal
+    calls = _counted_spectra(monkeypatch)
     with pytest.raises(NotAdmissible, match="gap violated"):
         q_log(np.diag([0.5, 2.0]).astype(complex), SIG11)
-    assert len(calls) == 1
+    assert calls == [True]
+
+
+def test_certified_q_log_computes_the_eigenpairs_once(monkeypatch):
+    # the same pair places the shift and gives the log
+    sig = Signature(2, 2)
+    s = random_admissible_q(sig, np.random.default_rng(31), gap=0.1, spread=0.7)
+    calls = _counted_spectra(monkeypatch)
+    q_log(s, sig)
+    assert calls == [True]
+
+
+def test_q_log_reads_a_singular_eigenvector_basis_as_no_convergence(monkeypatch):
+    # LAPACK reports a singular basis as an all-NaN solution, which the call
+    # names NoConvergence rather than letting numpy's LinAlgError out
+    sig = Signature(2, 2)
+    s = random_admissible_q(sig, np.random.default_rng(31), gap=0.1, spread=0.7)
+    monkeypatch.setattr(iwasawa, "_lapack", SimpleNamespace(solve=lambda a, b, signature: np.full_like(b, np.nan)))
+    with pytest.raises(NoConvergence, match="singular"):
+        q_log(s, sig)
 
 
 @pytest.mark.parametrize("sd", [4, 6, 8])

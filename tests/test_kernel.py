@@ -1,8 +1,12 @@
 """Kernel contracts: validation, eigenpairs, signed LDL*, the certified Cholesky, triangular solves."""
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from supq import kernel
 from supq.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -17,6 +21,7 @@ from supq.kernel import (
     _definite,
     _frobenius,
     _signed_ldl,
+    _spectrum,
     as_cmatrix,
     as_cvector,
     eig,
@@ -286,6 +291,30 @@ def test_certified_cholesky_judges_a_cancelling_pivot_as_the_loop_does(eps):
         assert not certified
     else:
         assert certified
+
+
+def test_definite_reads_a_lapack_failure_from_its_nan_factor():
+    # LAPACK declines an indefinite matrix by filling the factor with NaN and
+    # raising only the invalid flag: under the public call's errstate that is
+    # a plain None, and outside it the flag is all that warns
+    A = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    scale = abs(A.diagonal().real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel._quiet(_definite)(A, scale, 1e-12) is None
+    with pytest.warns(RuntimeWarning, match="invalid"):
+        assert _definite(A, scale, 1e-12) is None
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_spectrum_reads_a_lapack_failure_from_a_nan_eigenvalue(monkeypatch, vectors):
+    nan = np.full(3, np.nan, dtype=complex)
+    monkeypatch.setattr(kernel, "_lapack", SimpleNamespace(
+        eigvals=lambda M, signature: nan.copy(), eig=lambda M, signature: (nan.copy(), np.eye(3, dtype=complex))))
+    with pytest.raises(NoConvergence):
+        _spectrum(np.eye(3, dtype=complex), vectors)
+    with pytest.raises(NoConvergence):
+        eig(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
