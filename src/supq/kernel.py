@@ -9,11 +9,8 @@ refusals, which take the number p of positive pivots, everything here is
 signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
-scipy is imported on the first call of :func:`mat_exp` or
-:func:`solve_upper_triangular`, not with the module: the decomposition,
-membership and admissibility paths run on numpy alone.
-
-Every LAPACK call of the decomposition and admissibility paths goes
+The package runs on numpy alone: the matrix exponential is a Padé
+scaling-and-squaring kernel written here.  Every LAPACK call goes
 through ``_lapack``, numpy's own LAPACK gufuncs (``numpy.linalg._umath_linalg``,
 loaded by ``import numpy``), called with an explicit complex signature:
 the same routines as numpy.linalg's wrappers, so the same bits, without
@@ -29,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +99,62 @@ def _frobenius(x: np.ndarray, axis: int | None = None):
     return norm if axis is not None else float(norm)
 
 
-def mat_exp(X) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
-    import scipy.linalg
+def _pade(m: int) -> tuple[int, np.ndarray, tuple[tuple[int, int], ...]]:
+    """The degree m, the coefficients of the diagonal Padé approximant
+    r_m(x) = p_m(x) / p_m(-x) of exp, and the products that stack its powers.
+    Row 1 of the table holds the coefficients c_j = (2m-j)! m! / ((2m)! j!
+    (m-j)!), j = 0..m, of p_m(x), row 0 those of p_m(-x).  A product (r, j)
+    writes X^(j+1) .. X^(j+r) as X^1 .. X^r times X^j: ceil(log2 m) of them
+    reach X^m."""
+    f = math.factorial
+    c = [f(2 * m - j) * f(m) / (f(2 * m) * f(j) * f(m - j)) for j in range(m + 1)]
+    steps, j = [], 1
+    while j < m:
+        steps.append((min(j, m - j), j))
+        j += steps[-1][0]
+    return m, np.array([[(-1) ** j * x for j, x in enumerate(c)], c]), tuple(steps)
 
+
+# r_m of the k-th degree is used while ||X||_1 <= _THETA[k], the largest
+# 1-norm at which its backward error stays below the unit roundoff (Higham,
+# SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_PADE = tuple(_pade(m) for m in (3, 5, 7, 9, 13))
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068e0,
+          5.371920351148152e0)
+
+
+def mat_exp(X) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005, Alg. 2.3): the diagonal Padé approximant r_m of
+    the least degree m in {3, 5, 7, 9, 13} whose theta_m bounds ||X||_1,
+    else r_13 of X / 2^s, s = ceil(log2(||X||_1 / theta_13)), squared s
+    times.  The powers I, X, ..., X^m are stacked in one array, and both
+    p_m(X) and p_m(-X) come from one real product of that stack with the
+    coefficient table.  A 0 x 0 or 1 x 1 input is exponentiated entrywise.
+    Where exp(X) overflows, entries are inf or NaN, with numpy's overflow
+    warning."""
     X = as_cmatrix(X, square=True)
-    return scipy.linalg.expm(X)
+    n = X.shape[0]
+    if n < 2:
+        return np.exp(X)
+    norm = max(np.abs(X).sum(axis=0).tolist())
+    k, s = bisect_left(_THETA, norm), 0
+    if k == len(_THETA):
+        k -= 1
+        s = math.ceil(math.log2(min(norm, sys.float_info.max) / _THETA[k]))  # finite if the sum overflowed
+        X = X * 2.0**-s
+    m, C, steps = _PADE[k]
+    P = np.zeros((m + 1, 2 * n * n))  # row j: X^j, in the float view of complex128
+    F = P.view(np.complex128).reshape(-1, n)
+    P[0, :: 2 * n + 2] = 1.0
+    F[n : 2 * n] = X
+    for r, j in steps:
+        np.dot(F[n : (r + 1) * n], F[j * n : (j + 1) * n], out=F[(j + 1) * n : (j + r + 1) * n])
+    QN = C.dot(P).view(np.complex128).reshape(2, n, n)
+    R = _lapack.solve(QN[0], QN[1], signature="DD->D")
+    for _ in range(s):
+        R = R.dot(R)
+    return R
 
 
 def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -310,10 +358,10 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Only the upper triangle of U is referenced.  Dividing by a diagonal
     entry with ``|U_kk| <= tol * ||U||_F`` raises :class:`SingularDiagonal`
-    (1-based index).
+    (1-based index).  The solve is LAPACK's LU solve of ``triu(U)``: partial
+    pivoting swaps no row of a triangle whose diagonal is nonzero and
+    eliminates nothing, so it is a plain back substitution.
     """
-    import scipy.linalg
-
     U = as_cmatrix(U, square=True)
     B = as_cmatrix(B)
     if U.shape[0] != B.shape[0]:
@@ -321,8 +369,8 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
     if U.shape[0] == 0:
         return B.copy()
     diag = np.abs(U.diagonal())
-    limit = tol * _frobenius(np.triu(U))
-    small = np.flatnonzero(diag <= limit)
+    T = np.triu(U)
+    small = np.flatnonzero(diag <= tol * _frobenius(T))
     if small.size:
         raise SingularDiagonal(int(small[0]) + 1)
-    return scipy.linalg.solve_triangular(U, B, lower=False)
+    return _lapack.solve(T, B, signature="DD->D")

@@ -16,6 +16,7 @@ from supq.groups import (
 )
 from supq.indefinite import ConeClass, Signature, dagger, sample_cone
 from supq.iwasawa import decompose_gs
+from supq.kernel import _rounding_bound
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -245,6 +246,18 @@ def test_random_g0_lands_in_g0():
         assert is_member(g, GroupTag.G0, sig)
         defect = np.linalg.norm(dagger(g, sig) @ g - np.eye(sig.n))
         assert defect <= 1e-10 * max(1.0, np.linalg.norm(g) ** 2)
+
+
+@pytest.mark.parametrize("spread", [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+def test_random_g0_stays_in_g0_at_every_spread(spread):
+    # the exponential's rounding, relative to ||g||_F^2, within 8 n eps at any spread
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        sig = Signature(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        g = random_g0(sig, rng, spread)
+        assert is_member(g, GroupTag.G0, sig)
+        defect = np.linalg.norm(dagger(g, sig) @ g - np.eye(sig.n)) / np.linalg.norm(g) ** 2
+        assert defect <= _rounding_bound(sig.n), defect
 
 
 def test_random_g0_deterministic():

@@ -3,7 +3,7 @@ private module-level name is used in the package, only public calls enter an
 errstate, every LAPACK call goes through kernel._lapack and each
 eigensolver and Cholesky has one caller, no public decomposition or
 admissibility call reaches a numpy.linalg wrapper, the norms go
-through one helper, and the numpy-only paths never load scipy (nor the CLI's
+through one helper, and no call of the package loads scipy (nor the CLI's
 decompose the selftest module)."""
 
 import ast
@@ -95,6 +95,8 @@ LAPACK_CALLS = [
     ("kernel", "_j_cholesky", "solve", "DD->D"),
     ("kernel", "_spectrum", "eig", "D->DD"),
     ("kernel", "_spectrum", "eigvals", "D->D"),
+    ("kernel", "mat_exp", "solve", "DD->D"),
+    ("kernel", "solve_upper_triangular", "solve", "DD->D"),
 ]
 
 
@@ -199,10 +201,12 @@ def test_one_frobenius_norm_and_no_slow_triangle_helpers():
     assert sorted(helpers) == []
 
 
-# One call of each numpy-only public path, the CLI's decompose included;
-# mat_exp must still work and is the call that loads scipy.  The CLI imports
-# the selftest module only for the selftest command.
+# One call of each public path, the CLI's decompose and selftest included:
+# none loads scipy.  The CLI imports the selftest module only for the
+# selftest command.
 _SCIPY_FREE_CALLS = """
+import contextlib
+import io
 import json
 import sys
 
@@ -217,15 +221,20 @@ g = boost @ b
 supq.decompose_gauss(g, sig)
 supq.decompose_gs(g, sig)
 supq.dress(b, boost, sig)
-supq.sym(b, sig)
+s = supq.sym(b, sig)
 supq.classify([2.0, 1.0], sig)
 supq.check_admissible_an(b, sig)
 code = cli.main(["decompose", "--json", "--in", sys.argv[1]])
-before = "scipy" in sys.modules
 selftest = "supq.selftest" in sys.modules
 exp0 = supq.mat_exp(np.zeros((2, 2)))
-print(json.dumps({"code": code, "before": before, "selftest": selftest, "after": "scipy" in sys.modules,
-                  "exp_is_identity": bool(np.array_equal(exp0, np.eye(2)))}))
+supq.q_log(s, sig)
+supq.random_g0(supq.Signature(2, 1), 7, spread=3.0)
+supq.solve_upper_triangular(b, np.eye(2))
+supq.cone_preservation_check(s, sig, trials=3)
+with contextlib.redirect_stdout(io.StringIO()):
+    selftest_code = cli.main(["selftest", "--nmax", "2", "--trials", "3"])
+print(json.dumps({"code": code, "selftest": selftest, "selftest_code": selftest_code,
+                  "scipy": "scipy" in sys.modules, "exp_is_identity": bool(np.array_equal(exp0, np.eye(2)))}))
 """
 
 
@@ -239,4 +248,4 @@ def test_numpy_only_paths_do_not_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    assert result == {"code": 0, "before": False, "selftest": False, "after": True, "exp_is_identity": True}
+    assert result == {"code": 0, "selftest": False, "selftest_code": 0, "scipy": False, "exp_is_identity": True}

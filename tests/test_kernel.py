@@ -1,4 +1,5 @@
-"""Kernel contracts: validation, eigenpairs, signed LDL*, the certified Cholesky, triangular solves."""
+"""Kernel contracts: validation, the matrix exponential, eigenpairs, signed LDL*, the certified Cholesky,
+triangular solves."""
 
 import warnings
 from types import SimpleNamespace
@@ -90,6 +91,41 @@ def test_mat_exp_inverse_of_negative():
         X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         prod = mat_exp(X) @ mat_exp(-X)
         np.testing.assert_allclose(prod, np.eye(n), atol=1e-10 * np.exp(2 * np.linalg.norm(X)))
+
+
+# 1-norms that reach every Padé degree (theta_3 = 0.015, theta_5 = 0.25,
+# theta_7 = 0.95, theta_9 = 2.1, theta_13 = 5.37) and two past theta_13, which square.
+@pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.2, 0.9, 2.0, 5.0, 20.0, 60.0])
+def test_mat_exp_matches_a_40_digit_oracle(norm):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4, 6):
+        for _ in range(3):
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            X *= norm / np.abs(X).sum(axis=0).max()
+            with mpmath.workdps(40):
+                exact = np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=complex)
+            err = np.linalg.norm(mat_exp(X) - exact) / np.linalg.norm(exact)
+            assert err <= 8 * np.finfo(float).eps * max(1.0, norm), (n, err)
+
+
+def test_mat_exp_of_the_empty_and_1x1_matrices_is_entrywise():
+    empty = mat_exp(np.zeros((0, 0)))
+    assert empty.shape == (0, 0) and empty.dtype == np.complex128
+    np.testing.assert_array_equal(mat_exp([[1.0 + 2.0j]]), np.exp([[1.0 + 2.0j]]))
+    with pytest.raises(DimensionMismatch):
+        mat_exp(np.zeros((2, 3)))
+    with pytest.raises(NonFiniteInput):
+        mat_exp([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_mat_exp_overflows_to_inf_with_a_warning():
+    with pytest.warns(RuntimeWarning) as record:
+        assert np.isinf(mat_exp([[800.0]])).all()
+        E = mat_exp(np.diag([800.0, -800.0]))
+        assert not np.isfinite(mat_exp(np.full((2, 2), 1e308))).any()  # the 1-norm itself overflows
+    assert np.isinf(E[0, 0]) and E[1, 1] == 0
+    assert all("overflow" in str(w.message) or "invalid" in str(w.message) for w in record)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +378,30 @@ def test_solve_upper_triangular_random_round_trip():
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X = solve_upper_triangular(U, B)
         np.testing.assert_allclose(U @ X, B, atol=1e-10 * max(1.0, np.linalg.norm(B)))
+
+
+def _back_substitution(U, B):
+    X = np.zeros_like(B)
+    for k in range(U.shape[0] - 1, -1, -1):
+        X[k] = (B[k] - U[k, k + 1 :] @ X[k + 1 :]) / U[k, k]
+    return X
+
+
+def test_solve_upper_triangular_agrees_with_substitution_on_graded_rows():
+    # rows scaled from 1e-8 to 1e8: the two substitutions agree within the
+    # componentwise bound n eps |U^-1| |U| |X| of a triangular solve
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        n = int(rng.integers(2, 12))
+        scale = rng.permutation(np.logspace(-8, 8, n))
+        U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        U *= (scale / np.abs(U).max(axis=1))[:, None]
+        B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        X, ref = solve_upper_triangular(U, B, tol=0.0), _back_substitution(U, B)
+        bound = np.abs(_back_substitution(U, np.eye(n, dtype=complex))) @ np.abs(U) @ np.abs(ref)
+        assert (np.abs(X - ref) <= 2 * n * np.finfo(float).eps * bound).all()
+        lower = np.tril(rng.standard_normal((n, n)), -1) * 1e8
+        np.testing.assert_array_equal(solve_upper_triangular(U + lower, B, tol=0.0), X)
 
 
 def test_solve_upper_triangular_singular_diagonal():
