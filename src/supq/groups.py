@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
-from .indefinite import Signature, _check_matrix, _dagger, dagger
+from .indefinite import Signature, _check_matrix, dagger
 from .kernel import DEFAULT_TOL, _frobenius, _lapack, _quiet, _rounding_bound, mat_exp
 
 
@@ -76,15 +76,18 @@ def is_member(M, tag: GroupTag, sig: Signature, tol: float = DEFAULT_TOL) -> boo
 
 
 def _unitary_defect(M: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, float]:
-    """``(dagger(M) M - I, window)``: the SU(p, q) defect matrix of M and the
-    bound on its Frobenius norm, ``tol * scale + kernel._rounding_bound(n) *
-    scale^2`` with ``scale = max(1, ||M||_F)``.  The second term is the
-    rounding of the product, so ``tol = 0`` still accepts a computed factor.
-    I is subtracted from the product's diagonal in place, which gives the
-    bits of ``dagger(M) M - np.eye(n)`` without allocating I."""
+    """``(J (dagger(M) M - I), window)``: the SU(p, q) defect matrix of M, up
+    to the sign of each row, and the bound on its Frobenius norm, ``tol *
+    scale + kernel._rounding_bound(n) * scale^2`` with ``scale = max(1,
+    ||M||_F)``.  The second term is the rounding of the product, so ``tol =
+    0`` still accepts a computed factor.  The matrix is ``M* (J M) - J``: one
+    product with one sign pass, as in ``indefinite._j_sym``, and ``sig.J``
+    subtracted in place.  Every sign flip of J is exact, so row i is row i of
+    ``dagger(M) @ M - np.eye(n)`` times ``j_i``, bit for bit, and the
+    Frobenius norm and column norms have the bits of that matrix's."""
     scale = max(1.0, _frobenius(M))
-    gram = _dagger(M, sig.j_diag) @ M
-    gram.flat[:: sig.n + 1] -= 1.0
+    gram = M.conj().T @ (sig.j_diag[:, None] * M)
+    gram -= sig.J
     return gram, tol * scale + _rounding_bound(sig.n) * scale * scale
 
 
@@ -105,7 +108,8 @@ def _in_set(M: np.ndarray, tag: GroupTag, sig: Signature, tol: float) -> bool:
     scale = max(1.0, _frobenius(M))
     if tag is GroupTag.Q:
         floor = max(tol, _rounding_bound(sig.n))
-        return _frobenius(_dagger(M, sig.j_diag) - M) <= floor * scale and _det_is_one(M, tol)
+        jm = sig.j_diag[:, None] * M  # (J M)* - J M is J (dagger(M) - M), row by row an exact sign
+        return _frobenius(jm.conj().T - jm) <= floor * scale and _det_is_one(M, tol)
 
     strictly_lower_ok = _frobenius(M[sig.lower_mask]) <= tol * scale
     diag = M.diagonal()

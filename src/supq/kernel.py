@@ -322,7 +322,8 @@ def _definite(A: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray | None
     else None.  Where LAPACK finds a pivot <= 0 the factor is all NaN, which
     clears no pivot, so a failure needs no exception."""
     L = _lapack.cholesky_lo(A, signature="D->D")
-    pivot = L.diagonal().real ** 2
+    d = L.diagonal().real
+    pivot = d * d
     return L if _pivot_clears(pivot, scale + (A.diagonal().real - pivot), tol).all() else None
 
 
@@ -335,21 +336,28 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     ``|Hs_kk|`` and ``|Hs_kk| + (X* X)_kk``, so pivot k is ``b_kk^2`` with
     cancellation scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both
     certify; :func:`_signed_ldl` with p then names the refusal.
-    """
-    Hs = 0.5 * (H + H.conj().T)
-    h = abs(Hs.diagonal().real)
-    C1 = _definite(Hs[:p, :p], h[:p], tol)
+
+    ``H``, which the caller built for this call, is overwritten by Hs; Hs is
+    exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop that
+    names a refusal sees the same matrix.  C1* and C2* are conjugated
+    straight into their blocks of b.  X is solved into an array of its own,
+    because ``X* X`` of a strided view of b can round differently (a q = 1
+    column is a strided dot product)."""
+    H += H.conj().T
+    H *= 0.5
+    h = abs(H.diagonal().real)
+    C1 = _definite(H[:p, :p], h[:p], tol)
     if C1 is None:
         return None
-    X = _lapack.solve(C1, Hs[:p, p:], signature="DD->D")
+    X = _lapack.solve(C1, H[:p, p:], signature="DD->D")
     XX = X.conj().T @ X
-    C2 = _definite(XX - Hs[p:, p:], h[p:] + XX.diagonal().real, tol)
+    C2 = _definite(XX - H[p:, p:], h[p:] + XX.diagonal().real, tol)
     if C2 is None:
         return None
-    b = np.zeros_like(Hs)
-    b[:p, :p] = C1.conj().T
+    b = np.zeros(H.shape, H.dtype)
+    np.conjugate(C1.T, out=b[:p, :p])
     b[:p, p:] = X
-    b[p:, p:] = C2.conj().T
+    np.conjugate(C2.T, out=b[p:, p:])
     return b
 
 
