@@ -50,14 +50,19 @@ class Signature:
 
     @cached_property
     def J(self) -> np.ndarray:
-        """The matrix J = diag(+1 x p, -1 x q) as complex128. Read-only."""
-        return _read_only(np.diag(self.j_diag).astype(np.complex128))
+        """The matrix J = diag(+1 x p, -1 x q) as complex128. Read-only, and
+        one array for every Signature of (p, q), so that many signatures of
+        one shape do not each keep an n x n copy."""
+        return _J.setdefault((self.p, self.q), _read_only(np.diag(self.j_diag).astype(np.complex128)))
 
     @cached_property
     def lower_mask(self) -> np.ndarray:
         """Boolean n x n mask of the strictly lower triangle, which AN and N
         hold at zero. Read-only."""
         return _read_only(np.tri(self.n, k=-1, dtype=bool))
+
+
+_J: dict[tuple[int, int], np.ndarray] = {}  # Signature.J by (p, q)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

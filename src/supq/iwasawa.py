@@ -15,7 +15,10 @@ unique when it exists):
   ``kernel._rounding_bound(n)``.  When it does not certify them, the
   signed LDL* loop only names the refusal: the first pivot, in order, that
   vanishes to rounding (:class:`~supq.errors.SingularMinor`) or has the
-  wrong sign (:class:`~supq.errors.WrongInertia`).
+  wrong sign (:class:`~supq.errors.WrongInertia`).  Then s = g b^{-1} is
+  solved by back substitution, never multiplied by an inverse, so the
+  residual ``||g - s b||_F`` stays of order ``n eps ||s||_F ||b||_F``
+  however ill-conditioned b is.
 
 Each route is one step that returns (s, b), and one acceptor: s must pass
 ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``, at
@@ -186,12 +189,13 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     complement; b is always that blocked J-Cholesky's factor.  Its pivots
     are judged at the rounding bound ``kernel._rounding_bound(n) = 8 n eps``,
     not at ``tol``.  When it does not certify them, the signed LDL* loop
-    only names the refusal and returns no factor.  Then s = g b^{-1} is
-    returned only through ``groups._pseudo_unitary``, the defect half of
-    ``is_member(s, G0)``; its determinant is not judged again, so s can fail
-    the determinant window of ``is_member`` (ROADMAP item 3).  When s misses
-    the defect window, one more step factors s the same way, s <- s b2^{-1}
-    and b <- b2 b (CholeskyQR2: Yamamoto et al., ETNA 44, 2015).
+    only names the refusal and returns no factor.  Then s = g b^{-1},
+    solved by substitution, is returned only through
+    ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``; its
+    determinant is not judged again, so s can fail the determinant window of
+    ``is_member`` (ROADMAP item 3).  When s misses the defect window, one
+    more step factors s the same way, s <- s b2^{-1} and b <- b2 b
+    (CholeskyQR2: Yamamoto et al., ETNA 44, 2015).
 
     Raises
     ------
@@ -221,15 +225,20 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.nd
 def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss step: ``(x b^{-1}, b)`` with b the blocked J-Cholesky factor
     of ``J dagger(x) x``, every pivot judged at the rounding bound; if it
-    declines, the signed LDL* loop names the refusal and raises."""
+    declines, the signed LDL* loop names the refusal and raises.  ``x
+    b^{-1}`` is solved by substitution, not multiplied by an inverse: ``s b
+    = x`` is ``b^T s^T = x^T``, and reversing the rows and columns of both
+    sides makes ``b^T`` the upper triangle ``b[::-1, ::-1].T``, on which
+    LAPACK's LU swaps no row, so the solve is a back substitution.  It is
+    backward stable row by row (Higham 2002, ch. 8), where the product with
+    ``b^{-1}`` carries an error of order ``eps ||x|| ||b^{-1}||``.  s comes
+    back as a fresh C-contiguous array."""
     bound = _rounding_bound(sig.n)
     jh = _j_sym(x, sig.j_diag)
     b = _j_cholesky(jh, sig.p, bound)
     if b is None:
         _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
-    # partial pivoting swaps no rows of this upper triangular b: the LU
-    # inverse is a plain back-substitution.
-    return x @ _lapack.inv(b, signature="D->D"), b
+    return _lapack.solve(b[::-1, ::-1].T, x[:, ::-1].T, signature="DD->D")[::-1].T.copy(), b
 
 
 def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supq import groups
 from supq.admissible import is_admissible_diag
 from supq.errors import DimensionMismatch, NotInG
 from supq.groups import (
@@ -16,7 +17,7 @@ from supq.groups import (
 )
 from supq.indefinite import ConeClass, Signature, dagger, sample_cone
 from supq.iwasawa import decompose_gs
-from supq.kernel import _rounding_bound
+from supq.kernel import _frobenius, _rounding_bound
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -231,6 +232,48 @@ def test_det_window_outside_the_plain_window_uses_cond(monkeypatch, scale, miss,
 def test_is_member_dimension_check():
     with pytest.raises(DimensionMismatch):
         is_member(np.eye(3), GroupTag.G, SIG11)
+
+
+# ---------------------------------------------------------------------------
+# the defects are formed with one sign pass: J times the textbook matrix
+
+
+def _boost(x: float) -> np.ndarray:
+    """The SU(1, 1) boost B(x) with cosh, sinh = (x +- 1/x) / 2, embedded in SU(2, 2) on (1, 3)."""
+    g = np.eye(4, dtype=complex)
+    g[0, 0] = g[2, 2] = (x + 1 / x) / 2
+    g[0, 2] = g[2, 0] = (x - 1 / x) / 2
+    return g
+
+
+def _sign_cases():
+    rng = np.random.default_rng(67)
+    for spread in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+        sig = Signature(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        yield pytest.param(sig, random_g0(sig, rng, spread), id=f"random_g0-{spread}")
+    for k in range(1, 8):
+        yield pytest.param(SIG22, _boost(10.0**k), id=f"B(1e{k})")
+    yield pytest.param(Signature(2, 4), rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), id="random-6x6")
+
+
+@pytest.mark.parametrize("sig, M", list(_sign_cases()))
+def test_the_defects_are_the_textbook_matrices_up_to_exact_row_signs(sig, M, monkeypatch):
+    # row i of each defect is row i of dagger(M) M - I (or of dagger(M) - M)
+    # times j_i, equal in value (a zero may differ in sign), so every norm the
+    # verdicts and the worst-column index read has the textbook matrix's bits
+    j = sig.j_diag[:, None]
+    ref = dagger(M, sig) @ M - np.eye(sig.n)
+    gram, _ = groups._unitary_defect(M, sig, 1e-9)
+    assert np.array_equal(gram, j * ref)
+    assert _frobenius(gram) == _frobenius(ref)
+    assert _frobenius(gram, axis=0).tobytes() == _frobenius(ref, axis=0).tobytes()
+
+    seen = []
+    monkeypatch.setattr(groups, "_frobenius", lambda x, axis=None: seen.append(x) or _frobenius(x, axis))
+    groups._in_set(M, GroupTag.Q, sig, 1e-9)
+    ref = dagger(M, sig) - M
+    assert np.array_equal(seen[1], j * ref)  # seen[0] is M, for the scale
+    assert _frobenius(seen[1]) == _frobenius(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_errstate_is_entered_only_at_public_entries():
 LAPACK_CALLS = [
     ("admissible", "_labelled_report", "eigh_lo", "D->dD"),
     ("groups", "_det_is_one", "det", "D->D"),
-    ("iwasawa", "_gauss_step", "inv", "D->D"),
+    ("iwasawa", "_gauss_step", "solve", "DD->D"),
     ("iwasawa", "q_log", "solve", "DD->D"),
     ("kernel", "_definite", "cholesky_lo", "D->D"),
     ("kernel", "_j_cholesky", "solve", "DD->D"),

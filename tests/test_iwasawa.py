@@ -414,7 +414,7 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
         "far": lambda sig: random_an(sig, rng, 1.0) @ random_g0(sig, rng, 8.0),
         "near_boundary": lambda sig: _near_boundary(sig, rng),
     }
-    seen = set()
+    seen, blocks = set(), set()
     for n in range(2, 33):
         p = int(rng.integers(1, n))
         sig = Signature(p, n - p)
@@ -429,6 +429,7 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
                 seen.add("accepted")
             else:
                 seen.add(refusal[0])
+                blocks.add("first" if refusal[1] <= p else "Schur")
             # the route judges its pivots at the rounding bound, whatever tol is
             ref, refusal = _loop_factor(jh, p, kernel._rounding_bound(n))
             if ref is None:
@@ -437,6 +438,11 @@ def test_j_cholesky_matches_the_signed_ldl_loop(tol):
                 assert exc.value.index == refusal[1], (kind, n, p)
     # at tol = 0 only an exactly vanishing pivot is singular
     assert seen == {"accepted", WrongInertia} | ({SingularMinor} if tol > 0 else set())
+    # both blocks refuse: cell_crossed in the first at every tol, near_boundary
+    # in the Schur block at tol > 0.  A Schur pivot cannot have the wrong sign
+    # after p right ones (In(J h) = (p, q)), so at tol 0 it would need an
+    # exactly vanishing pivot, which _loop_factor cannot take.
+    assert blocks == ({"first", "Schur"} if tol > 0 else {"first"})
 
 
 def test_overflowing_gram_matrix_is_non_finite_input():

@@ -20,13 +20,17 @@ def test_the_working_tree_has_parity_with_itself(capsys):
 
 
 def test_a_changed_last_bit_is_reported(tmp_path, capsys):
-    # s of the Gauss route scaled by 1 + 2^-45: the CLI's decompose output changes
+    # s of the Gauss route scaled by 1 + 2^-45: the CLI's decompose output
+    # changes, and so does decompose_g_admissible's, which runs on the inputs
+    # of factor_small's decompose_gauss
     shutil.copytree(ROOT / "src", tmp_path / "src")
     path = tmp_path / "src" / "supq" / "iwasawa.py"
-    step = 'return x @ _lapack.inv(b, signature="D->D"), b'
+    step = 'return _lapack.solve(b[::-1, ::-1].T, x[:, ::-1].T, signature="DD->D")[::-1].T.copy(), b'
     assert step in path.read_text(encoding="utf-8")
     path.write_text(path.read_text(encoding="utf-8").replace(step, f"return (1 + 2**-45) * ({step[7:-3]}), b"))
-    assert parity.main([str(tmp_path), *ARGS]) == 1
+    assert parity.main([str(tmp_path), *ARGS, "--workload", "factor_small"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-1].endswith("with differences") and not out[-1].endswith(" 0 with differences")
     assert any(line.startswith("changed: cli_docs/1/") for line in out)
+    reported = [line for line in out if line.startswith(("changed:", "largest relative change:"))]
+    assert any("iwasawa.decompose_g_admissible" in line for line in reported)

@@ -10,9 +10,12 @@ checkout (its ``src/supq``).  Every operation of ``bench/workloads.build``
 for each workload (default: all four) and seed (default: 1, 2 and 3) runs
 at tol 1e-9 and at tol 0, once on REF's ``src`` and once on this
 checkout's, each side in its own subprocess; the CLI operations get
-``--tol``.  Both sides import ``bench/workloads.py`` of this checkout,
-read-only, and build their inputs with their own library; an input that
-differs between the sides is reported as a difference.
+``--tol``.  Two public entries that no workload calls run on the inputs of
+one that does: ``iwasawa.decompose_g_admissible`` on every
+``decompose_gauss`` input and ``iwasawa.sym`` on every
+``check_admissible_an`` input.  Both sides import ``bench/workloads.py`` of
+this checkout, read-only, and build their inputs with their own library; an
+input that differs between the sides is reported as a difference.
 
 It prints, per public entry, the number of calls whose outputs (or
 refusals) are bit for bit the same; then each changed verdict, refusal
@@ -45,6 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("factor_small", "factor_large", "admissibility_mix", "cli_docs")
 SEEDS = (1, 2, 3)
 TOLS = (1e-9, 0.0)
+# (module, func) of a workload's call -> the entry also run on its inputs
+ALSO = {("iwasawa", "decompose_gauss"): ("iwasawa", "decompose_g_admissible"),
+        ("admissible", "check_admissible_an"): ("iwasawa", "sym")}
 
 
 def _flatten(value, path: str = "") -> list[tuple[str, object]]:
@@ -81,6 +87,8 @@ def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
     for name in workloads:
         for seed in seeds:
             ops = wl.build(name, seed, "docs", supq).ops  # relative: the same paths on both sides
+            ops += [dataclasses.replace(op, module=ALSO[key][0], func=ALSO[key][1])
+                    for op in ops if (key := (op.module, op.func)) in ALSO]
             for op in ops:
                 modules.setdefault(op.module, importlib.import_module(f"supq.{op.module}"))
             for tol in TOLS:
