@@ -22,14 +22,12 @@ from .errors import (
     NonFiniteInput,
     NotAdmissible,
     NotDecomposable,
-    NotHermitian,
     NotInAN,
     NotInG,
     NotInG0,
     NotInQ,
     NotTimelike,
     ParseError,
-    SingularDiagonal,
     SingularMinor,
     SupqError,
     WrongInertia,
@@ -53,15 +51,7 @@ from .iwasawa import (
     q_log,
     sym,
 )
-from .kernel import (
-    DEFAULT_TOL,
-    DEFAULT_TOL_EIG,
-    EigenResult,
-    eig,
-    mat_exp,
-    signed_ldl,
-    solve_upper_triangular,
-)
+from .kernel import DEFAULT_TOL, mat_exp
 from .su11 import (
     Sl2Element,
     Su11ANElement,
@@ -77,18 +67,15 @@ __all__ = [
     "AdmissibilityReport",
     "ConeClass",
     "DEFAULT_TOL",
-    "DEFAULT_TOL_EIG",
     "DecompPair",
     "DimensionMismatch",
     "DressResult",
-    "EigenResult",
     "GroupTag",
     "MembershipError",
     "NoConvergence",
     "NonFiniteInput",
     "NotAdmissible",
     "NotDecomposable",
-    "NotHermitian",
     "NotInAN",
     "NotInG",
     "NotInG0",
@@ -96,7 +83,6 @@ __all__ = [
     "NotTimelike",
     "ParseError",
     "Signature",
-    "SingularDiagonal",
     "SingularMinor",
     "Sl2Element",
     "Su11ANElement",
@@ -113,7 +99,6 @@ __all__ = [
     "decompose_gauss",
     "decompose_gs",
     "dress",
-    "eig",
     "is_admissible_diag",
     "is_member",
     "leading_minors",
@@ -126,8 +111,6 @@ __all__ = [
     "random_an",
     "random_g0",
     "sample_cone",
-    "signed_ldl",
-    "solve_upper_triangular",
     "su11_an_admissible",
     "su11_decompose",
     "su11_q_admissible",

@@ -3,7 +3,10 @@
 Input validation, the matrix exponential, eigenpairs, an *unpivoted*
 signed LDL* factorization, the certified Cholesky that its blocked
 J-Cholesky form and the admissibility certificates share, and triangular
-solves, all on numpy ``complex128`` arrays.
+solves, all on numpy ``complex128`` arrays.  ``eig``, ``EigenResult``,
+``DEFAULT_TOL_EIG``, ``signed_ldl`` and ``solve_upper_triangular`` are
+called by no library path and are not exported by ``supq``; they stay
+here because the benchmark's tracer names them.
 Apart from the J-Cholesky and the signed LDL* loop that names its
 refusals, which take the number p of positive pivots, everything here is
 signature-agnostic; the indefinite geometry lives in
@@ -164,7 +167,8 @@ def _spectrum(M: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndar
     order (else None).  Every general eigensolve of the library is this one
     call, so the eigensolver's size cap (:class:`DimensionMismatch` above
     ``EIG_SIZE_CAP``) and its failure (:class:`NoConvergence`) live here.
-    Its callers: :func:`eig`, which adds a residual check; the spectra of
+    Its callers: :func:`eig`, which adds a residual check; the top
+    eigenvalues of ``selftest``'s criterion 6; the spectra of
     ``admissible._gap_certificate``, for the admissibility check and the cone
     check, which need no vectors and no residual check because the
     certificate proves the gap itself; the eigenpairs that name a refused
@@ -340,8 +344,12 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     ``H``, which the caller built for this call, is overwritten by Hs; Hs is
     exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop that
     names a refusal sees the same matrix.  C1* and C2* are conjugated
-    straight into their blocks of b.  X is solved into an array of its own,
-    because ``X* X`` of a strided view of b can round differently (a q = 1
+    straight into their blocks of b.  X is solved by back substitution, as
+    in ``iwasawa._gauss_step``: reversing the rows of ``C1 X = Hs12`` and
+    the columns of C1 makes it the upper triangle ``C1[::-1, ::-1]``, on
+    which LAPACK's LU swaps no row, where partial pivoting on the lower
+    triangle C1 swaps rows and eliminates.  X is copied into an array of its
+    own, because ``X* X`` of a strided view can round differently (a q = 1
     column is a strided dot product)."""
     H += H.conj().T
     H *= 0.5
@@ -349,7 +357,7 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     C1 = _definite(H[:p, :p], h[:p], tol)
     if C1 is None:
         return None
-    X = _lapack.solve(C1, H[:p, p:], signature="DD->D")
+    X = _lapack.solve(C1[::-1, ::-1], H[:p, p:][::-1], signature="DD->D")[::-1].copy()
     XX = X.conj().T @ X
     C2 = _definite(XX - H[p:, p:], h[p:] + XX.diagonal().real, tol)
     if C2 is None:

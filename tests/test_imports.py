@@ -212,7 +212,7 @@ import sys
 
 import numpy as np
 import supq
-from supq import cli
+from supq import cli, kernel
 
 sig = supq.Signature(1, 1)
 boost = np.array([[np.cosh(0.3), np.sinh(0.3)], [np.sinh(0.3), np.cosh(0.3)]], dtype=complex)
@@ -229,7 +229,7 @@ selftest = "supq.selftest" in sys.modules
 exp0 = supq.mat_exp(np.zeros((2, 2)))
 supq.q_log(s, sig)
 supq.random_g0(supq.Signature(2, 1), 7, spread=3.0)
-supq.solve_upper_triangular(b, np.eye(2))
+kernel.solve_upper_triangular(b, np.eye(2))
 supq.cone_preservation_check(s, sig, trials=3)
 with contextlib.redirect_stdout(io.StringIO()):
     selftest_code = cli.main(["selftest", "--nmax", "2", "--trials", "3"])

@@ -10,12 +10,15 @@ checkout (its ``src/supq``).  Every operation of ``bench/workloads.build``
 for each workload (default: all four) and seed (default: 1, 2 and 3) runs
 at tol 1e-9 and at tol 0, once on REF's ``src`` and once on this
 checkout's, each side in its own subprocess; the CLI operations get
-``--tol``.  Two public entries that no workload calls run on the inputs of
-one that does: ``iwasawa.decompose_g_admissible`` on every
-``decompose_gauss`` input and ``iwasawa.sym`` on every
-``check_admissible_an`` input.  Both sides import ``bench/workloads.py`` of
-this checkout, read-only, and build their inputs with their own library; an
-input that differs between the sides is reported as a difference.
+``--tol``.  Three public entries that no workload calls run on the inputs
+of one that does, appended after each build's operations so that those keep
+their ids: ``iwasawa.decompose_g_admissible`` on every ``decompose_gauss``
+input, ``iwasawa.sym`` on every ``check_admissible_an`` input, and
+``admissible.pseudo_rayleigh(s, e_1, sig)`` on every ``check_admissible_q``
+input ``s`` (``e_1`` is timelike whenever p >= 1).  Both sides import
+``bench/workloads.py`` of this checkout, read-only, and build their inputs
+with their own library; an input that differs between the sides is reported
+as a difference.
 
 It prints, per public entry, the number of calls whose outputs (or
 refusals) are bit for bit the same; then each changed verdict, refusal
@@ -89,6 +92,9 @@ def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
             ops = wl.build(name, seed, "docs", supq).ops  # relative: the same paths on both sides
             ops += [dataclasses.replace(op, module=ALSO[key][0], func=ALSO[key][1])
                     for op in ops if (key := (op.module, op.func)) in ALSO]
+            for op in [op for op in ops if (op.module, op.func) == ("admissible", "check_admissible_q")]:
+                s, sig = op.args
+                ops.append(dataclasses.replace(op, func="pseudo_rayleigh", args=(s, np.eye(len(s), dtype=complex)[0], sig)))
             for op in ops:
                 modules.setdefault(op.module, importlib.import_module(f"supq.{op.module}"))
             for tol in TOLS:
