@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
-from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins,
+from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins, _gram,
                          _pairing, _sample_cones, _scaled, _sym)
 from .kernel import DEFAULT_TOL, _definite, _j_cholesky, _lapack, _quiet, _rounding_bound, _spectrum, as_cmatrix
 
@@ -174,7 +174,7 @@ def _labelled_report(vals: np.ndarray, V: np.ndarray, sig: Signature, tol: float
     # tridiagonal solver splits there, so each eigh direction lies in one block, named by
     # its largest entry.  Directions are read in (cluster, ascending gamma) order.
     cluster = np.concatenate(([0], np.cumsum(lam[:-1] - lam[1:] > tol * (1.0 + np.abs(lam[1:])))))
-    gram = np.where(cluster[:, None] == cluster, V.conj().T @ (sig.j_diag[:, None] * V), 0.0)
+    gram = np.where(cluster[:, None] == cluster, _gram(V, sig.j_diag), 0.0)
     gamma, U = _lapack.eigh_lo(0.5 * (gram + gram.conj().T), signature="D->dD")
     owner = cluster[np.argmax(np.abs(U), axis=0)]
     order = np.argsort(owner, kind="stable")
@@ -266,7 +266,7 @@ def cone_preservation_check(
 def _cone_certificate(s: np.ndarray, sig: Signature, tol: float) -> bool:
     """The S-lemma certificate of :func:`cone_preservation_check` for a validated ``s``."""
     j = sig.j_diag
-    M = s.conj().T @ ((j - tol)[:, None] * s)
+    M = _gram(s, j - tol)
     return bool(np.isfinite(M).all()) and _gap_certificate(M, _spectrum(j[:, None] * M)[0], sig, 0.0) > 0
 
 
@@ -288,27 +288,31 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
     """The ratio <s x, x> / <x, x> for a timelike vector x.
 
     For dagger-fixed s the ratio is real; the imaginary part (of size tol at
-    most) is discarded.
+    most) is discarded.  The quotient does not depend on the scale of x, so x
+    is first scaled by a power of two to a largest entry in [1/2, 1).
 
     Raises
     ------
     NotTimelike
         If x does not classify as timelike.
+    NonFiniteInput
+        If <s x, x> overflows at that scale, as :func:`~supq.indefinite.pairing`
+        does; a quotient that overflows only in the division is ±inf.
     """
     s = _check_matrix(s, sig)
     x = _check_vector(x, sig)
-    ns, e2, k = _cone_margins(x, sig.p)
+    x = _scaled(x, np.frexp(np.maximum(abs(x.real), abs(x.imag)).max())[1])
+    ns, e2, _ = _cone_margins(x, sig.p)
     if _classify(ns, e2, tol) is not ConeClass.TIMELIKE:
         raise NotTimelike("pseudo_rayleigh needs a timelike vector")
-    x = _scaled(x, k) if k else x  # the quotient is invariant under scaling x
-    return _pairing(s @ x, x, sig.j_diag).real / float(ns)
+    return _pairing(s @ x, x, sig.j_diag).real / ns
 
 
 @_quiet
 def leading_minors(s) -> np.ndarray:
     """All n leading principal minors det(s[:k, :k]), k = 1..n; NonFiniteInput on overflow."""
     s = as_cmatrix(s, square=True)
-    minors = np.array([np.linalg.det(s[: k + 1, : k + 1]) for k in range(s.shape[0])])
+    minors = np.array([_lapack.det(s[: k + 1, : k + 1], signature="D->D") for k in range(s.shape[0])])
     if not np.isfinite(minors).all():
         raise NonFiniteInput("a leading minor overflows")
     return minors

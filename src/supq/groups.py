@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
-from .indefinite import Signature, _check_matrix, dagger
+from .indefinite import Signature, _check_matrix, _gram, dagger
 from .kernel import DEFAULT_TOL, _frobenius, _lapack, _quiet, _rounding_bound, mat_exp
 
 
@@ -80,13 +80,14 @@ def _unitary_defect(M: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarr
     to the sign of each row, and the bound on its Frobenius norm, ``tol *
     scale + kernel._rounding_bound(n) * scale^2`` with ``scale = max(1,
     ||M||_F)``.  The second term is the rounding of the product, so ``tol =
-    0`` still accepts a computed factor.  The matrix is ``M* (J M) - J``: one
-    product with one sign pass, as in ``indefinite._j_sym``, and ``sig.J``
-    subtracted in place.  Every sign flip of J is exact, so row i is row i of
-    ``dagger(M) @ M - np.eye(n)`` times ``j_i``, bit for bit, and the
-    Frobenius norm and column norms have the bits of that matrix's."""
+    0`` still accepts a computed factor.  The matrix is ``M* (J M) - J``: the
+    Gram ``indefinite._gram`` with one sign pass, and ``sig.J`` subtracted in
+    place.  Every sign flip of J is exact, so row i is row i of ``dagger(M) @
+    M - np.eye(n)`` times ``j_i`` in value, though a zero can come out with
+    the other sign, and the Frobenius norm and column norms have the bits of
+    that matrix's."""
     scale = max(1.0, _frobenius(M))
-    gram = M.conj().T @ (sig.j_diag[:, None] * M)
+    gram = _gram(M, sig.j_diag)
     gram -= sig.J
     return gram, tol * scale + _rounding_bound(sig.n) * scale * scale
 

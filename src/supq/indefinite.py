@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
-from .kernel import DEFAULT_TOL, _quiet, as_cmatrix, as_cvector
+from .kernel import DEFAULT_TOL, _quiet, as_cmatrix
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,12 @@ class ConeClass(enum.Enum):
 
 
 def _check_vector(x, sig: Signature) -> np.ndarray:
-    v = as_cvector(x)
+    """``x`` as a validated complex vector of length n."""
+    v = np.asarray(x, dtype=np.complex128)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d array, got ndim={v.ndim}")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("vector contains NaN or Inf entries")
     if v.shape[0] != sig.n:
         raise DimensionMismatch(f"vector of length {v.shape[0]} does not match n={sig.n}")
     return v
@@ -94,15 +99,15 @@ def _check_matrix(M, sig: Signature, mismatch: type[SupqError] = DimensionMismat
 @_quiet
 def pairing(x, y, sig: Signature) -> complex:
     """The indefinite pairing <x, y>, linear in x and conjugate-linear in y; NonFiniteInput on overflow."""
-    value = _pairing(_check_vector(x, sig), _check_vector(y, sig), sig.j_diag)
-    if not np.isfinite(value):
-        raise NonFiniteInput("the pairing overflows")
-    return value
+    return _pairing(_check_vector(x, sig), _check_vector(y, sig), sig.j_diag)
 
 
 def _pairing(x: np.ndarray, y: np.ndarray, j: np.ndarray) -> complex:
     """:func:`pairing` of validated vectors, ``j`` the signature's :attr:`Signature.j_diag`."""
-    return complex(np.sum(j * x * np.conj(y)))
+    value = complex(np.sum(j * x * np.conj(y)))
+    if not np.isfinite(value):
+        raise NonFiniteInput("the pairing overflows")
+    return value
 
 
 def _cone_margins(x: np.ndarray, p: int) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | int]:
@@ -188,11 +193,12 @@ def _sym(b: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _finite(_dagger(b, j) @ b)
 
 
-def _j_sym(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``J dagger(x) x``, formed as ``x* (J x)`` in one product, with
-    :func:`_sym`'s finiteness check.  Every sign flip of J is exact, so it has
-    the bits of ``j[:, None] * _sym(x, j)`` at two fewer elementwise passes."""
-    return _finite(x.conj().T @ (j[:, None] * x))
+def _gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weighted Gram ``x* diag(w) x`` in one product, unchecked for
+    finiteness.  With ``w`` the signature's :attr:`Signature.j_diag` it is
+    ``J dagger(x) x``, equal in value to ``j[:, None] * _sym(x, j)``: every
+    sign flip of J is exact, but a zero can come out with the other sign."""
+    return x.conj().T @ (w[:, None] * x)
 
 
 def _finite(h: np.ndarray) -> np.ndarray:

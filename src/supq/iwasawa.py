@@ -42,9 +42,9 @@ import numpy as np
 from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
-from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _j_sym, _sym
-from .kernel import (DEFAULT_TOL, _frobenius, _j_cholesky, _lapack, _quiet, _rounding_bound, _signed_ldl, _spectrum,
-                     mat_exp)
+from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _finite, _gram, _sym
+from .kernel import (DEFAULT_TOL, _frobenius, _j_cholesky, _lapack, _quiet, _rounding_bound, _signed_ldl,
+                     _solve_lower, _spectrum, mat_exp)
 
 
 @dataclass
@@ -226,19 +226,16 @@ def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss step: ``(x b^{-1}, b)`` with b the blocked J-Cholesky factor
     of ``J dagger(x) x``, every pivot judged at the rounding bound; if it
     declines, the signed LDL* loop names the refusal and raises.  ``x
-    b^{-1}`` is solved by substitution, not multiplied by an inverse: ``s b
-    = x`` is ``b^T s^T = x^T``, and reversing the rows and columns of both
-    sides makes ``b^T`` the upper triangle ``b[::-1, ::-1].T``, on which
-    LAPACK's LU swaps no row, so the solve is a back substitution.  It is
-    backward stable row by row (Higham 2002, ch. 8), where the product with
-    ``b^{-1}`` carries an error of order ``eps ||x|| ||b^{-1}||``.  s comes
-    back as a fresh C-contiguous array."""
+    b^{-1}`` is solved by substitution, not multiplied by an inverse, whose
+    product carries an error of order ``eps ||x|| ||b^{-1}||``: ``s b = x``
+    is ``b^T s^T = x^T``, solved by ``kernel._solve_lower``.  s comes back
+    as a fresh C-contiguous array."""
     bound = _rounding_bound(sig.n)
-    jh = _j_sym(x, sig.j_diag)
+    jh = _finite(_gram(x, sig.j_diag))
     b = _j_cholesky(jh, sig.p, bound)
     if b is None:
         _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
-    return _lapack.solve(b[::-1, ::-1].T, x[:, ::-1].T, signature="DD->D")[::-1].T.copy(), b
+    return _solve_lower(b.T, x.T).T.copy(), b
 
 
 def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> tuple[np.ndarray, np.ndarray]:

@@ -73,16 +73,6 @@ def as_cmatrix(A, square: bool = False) -> np.ndarray:
     return M
 
 
-def as_cvector(x) -> np.ndarray:
-    """Validate ``x`` and return it as a dense complex128 vector."""
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d array, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("vector contains NaN or Inf entries")
-    return v
-
-
 def _frobenius(x: np.ndarray, axis: int | None = None):
     """||x||_F as a float, or with ``axis`` the 2-norms along it, so that
     ``tol * _frobenius(M)`` is finite for every finite M.  Without ``axis`` it
@@ -344,20 +334,16 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     ``H``, which the caller built for this call, is overwritten by Hs; Hs is
     exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop that
     names a refusal sees the same matrix.  C1* and C2* are conjugated
-    straight into their blocks of b.  X is solved by back substitution, as
-    in ``iwasawa._gauss_step``: reversing the rows of ``C1 X = Hs12`` and
-    the columns of C1 makes it the upper triangle ``C1[::-1, ::-1]``, on
-    which LAPACK's LU swaps no row, where partial pivoting on the lower
-    triangle C1 swaps rows and eliminates.  X is copied into an array of its
-    own, because ``X* X`` of a strided view can round differently (a q = 1
-    column is a strided dot product)."""
+    straight into their blocks of b.  X is solved by :func:`_solve_lower` and
+    copied into an array of its own, because ``X* X`` of a strided view can
+    round differently (a q = 1 column is a strided dot product)."""
     H += H.conj().T
     H *= 0.5
     h = abs(H.diagonal().real)
     C1 = _definite(H[:p, :p], h[:p], tol)
     if C1 is None:
         return None
-    X = _lapack.solve(C1[::-1, ::-1], H[:p, p:][::-1], signature="DD->D")[::-1].copy()
+    X = _solve_lower(C1, H[:p, p:]).copy()
     XX = X.conj().T @ X
     C2 = _definite(XX - H[p:, p:], h[p:] + XX.diagonal().real, tol)
     if C2 is None:
@@ -367,6 +353,17 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     b[:p, p:] = X
     np.conjugate(C2.T, out=b[p:, p:])
     return b
+
+
+def _solve_lower(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``L^{-1} R`` for a lower-triangular ``L`` with a nonzero diagonal, by
+    back substitution: reversing the rows of ``L X = R`` and the columns of L
+    makes it the upper triangle ``L[::-1, ::-1]``, on which LAPACK's LU swaps
+    no row and eliminates nothing, where partial pivoting on L itself swaps
+    rows and eliminates.  It is backward stable row by row (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 8).
+    The result is a reversed view."""
+    return _lapack.solve(L[::-1, ::-1], R[::-1], signature="DD->D")[::-1]
 
 
 def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:

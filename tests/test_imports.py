@@ -84,15 +84,15 @@ def test_errstate_is_entered_only_at_public_entries():
     assert sorted(name for name in quiet if name.startswith("_")) == []
 
 
-# Every LAPACK call of the decomposition and admissibility paths, as
+# Every LAPACK call of the package, as
 # (module, function, gufunc of kernel._lapack, its signature).
 LAPACK_CALLS = [
     ("admissible", "_labelled_report", "eigh_lo", "D->dD"),
+    ("admissible", "leading_minors", "det", "D->D"),
     ("groups", "_det_is_one", "det", "D->D"),
-    ("iwasawa", "_gauss_step", "solve", "DD->D"),
     ("iwasawa", "q_log", "solve", "DD->D"),
     ("kernel", "_definite", "cholesky_lo", "D->D"),
-    ("kernel", "_j_cholesky", "solve", "DD->D"),
+    ("kernel", "_solve_lower", "solve", "DD->D"),
     ("kernel", "_spectrum", "eig", "D->DD"),
     ("kernel", "_spectrum", "eigvals", "D->D"),
     ("kernel", "mat_exp", "solve", "DD->D"),
@@ -105,9 +105,9 @@ def test_one_general_eigensolver_and_one_cholesky():
     # kernel._lapack, with an explicit complex signature: every general
     # eigensolve through kernel._spectrum, which holds the size cap and the
     # NoConvergence of a LAPACK failure, and every Cholesky through
-    # kernel._definite, which holds the pivot rule.  Only two numpy.linalg
-    # wrappers are left: the SVD of groups._det_is_one outside its plain
-    # window, and the determinants of leading_minors, off the hot path.
+    # kernel._definite, which holds the pivot rule.  One numpy.linalg
+    # wrapper is left: the SVD of groups._det_is_one outside its plain
+    # window, off the hot path.
     lapack, wrappers, binders = set(), set(), set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -126,7 +126,7 @@ def test_one_general_eigensolver_and_one_cholesky():
                       and base.value.id == "np" and node.func.attr != "norm"):
                     wrappers.add(site)
     assert sorted(lapack) == LAPACK_CALLS
-    assert sorted(wrappers) == [("admissible", "leading_minors", "det"), ("groups", "_det_is_one", "cond")]
+    assert sorted(wrappers) == [("groups", "_det_is_one", "cond")]
     assert binders == {"kernel"}
     for _, _, gufunc, signature in LAPACK_CALLS:
         assert signature in getattr(kernel._lapack, gufunc).types, (gufunc, signature)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supq.errors import DimensionMismatch, ZeroVector
+from supq.errors import DimensionMismatch, NonFiniteInput, ZeroVector
 from supq.groups import random_g0
 from supq.indefinite import (
     ConeClass,
     Signature,
+    _check_vector,
     _cone_margins,
-    _j_sym,
+    _gram,
     _sym,
     classify,
     dagger,
@@ -68,9 +69,9 @@ def test_signature_lower_mask_is_the_strict_lower_triangle():
     assert sig.lower_mask is sig.lower_mask  # cached
 
 
-def test_j_sym_has_the_bits_of_j_times_sym():
+def test_gram_equals_j_times_sym_in_value():
     # x* (J x) flips the same signs as J (J x* J) x, exactly, so the one-product
-    # form must not move a bit, at any size or row scale
+    # form must not move a value at any size or row scale (a zero may change sign)
     rng = np.random.default_rng(29)
     for n in range(2, 33):
         for _ in range(4):
@@ -78,7 +79,16 @@ def test_j_sym_has_the_bits_of_j_times_sym():
             j = Signature(p, n - p).j_diag
             x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             x *= 10.0 ** rng.uniform(-100, 100, (n, 1))
-            np.testing.assert_array_equal(_j_sym(x, j), j[:, None] * _sym(x, j), strict=True)
+            np.testing.assert_array_equal(_gram(x, j), j[:, None] * _sym(x, j), strict=True)
+
+
+def test_check_vector_contracts():
+    v = _check_vector([1, 2j], SIG11)
+    assert v.dtype == np.complex128
+    with pytest.raises(DimensionMismatch):
+        _check_vector([[1, 2]], SIG11)
+    with pytest.raises(NonFiniteInput):
+        _check_vector([1.0, np.nan], SIG11)
 
 
 # ---------------------------------------------------------------------------

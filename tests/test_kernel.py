@@ -22,9 +22,9 @@ from supq.kernel import (
     _definite,
     _frobenius,
     _signed_ldl,
+    _solve_lower,
     _spectrum,
     as_cmatrix,
-    as_cvector,
     eig,
     mat_exp,
     signed_ldl,
@@ -60,15 +60,6 @@ def test_as_cmatrix_rejects_non_finite(bad):
     M[0, 1] = bad
     with pytest.raises(NonFiniteInput):
         as_cmatrix(M)
-
-
-def test_as_cvector_contracts():
-    v = as_cvector([1, 2j])
-    assert v.dtype == np.complex128
-    with pytest.raises(DimensionMismatch):
-        as_cvector([[1, 2]])
-    with pytest.raises(NonFiniteInput):
-        as_cvector([1.0, np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +378,17 @@ def _back_substitution(U, B):
     return X
 
 
+def _forward_substitution(L, B):
+    X = np.zeros_like(B)
+    for k in range(L.shape[0]):
+        X[k] = (B[k] - L[k, :k] @ X[:k]) / L[k, k]
+    return X
+
+
 def test_solve_upper_triangular_agrees_with_substitution_on_graded_rows():
-    # rows scaled from 1e-8 to 1e8: the two substitutions agree within the
-    # componentwise bound n eps |U^-1| |U| |X| of a triangular solve
+    # rows scaled from 1e-8 to 1e8: each solve agrees with its substitution
+    # loop within the componentwise bound n eps |T^-1| |T| |X| of a triangular
+    # solve, the upper triangle U and, for kernel._solve_lower, L = U^T
     rng = np.random.default_rng(41)
     for _ in range(50):
         n = int(rng.integers(2, 12))
@@ -397,9 +396,11 @@ def test_solve_upper_triangular_agrees_with_substitution_on_graded_rows():
         U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         U *= (scale / np.abs(U).max(axis=1))[:, None]
         B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-        X, ref = solve_upper_triangular(U, B, tol=0.0), _back_substitution(U, B)
-        bound = np.abs(_back_substitution(U, np.eye(n, dtype=complex))) @ np.abs(U) @ np.abs(ref)
-        assert (np.abs(X - ref) <= 2 * n * np.finfo(float).eps * bound).all()
+        X = solve_upper_triangular(U, B, tol=0.0)
+        for T, got, substitution in ((U, X, _back_substitution), (U.T, _solve_lower(U.T, B), _forward_substitution)):
+            ref = substitution(T, B)
+            bound = np.abs(substitution(T, np.eye(n, dtype=complex))) @ np.abs(T) @ np.abs(ref)
+            assert (np.abs(got - ref) <= 2 * n * np.finfo(float).eps * bound).all()
         lower = np.tril(rng.standard_normal((n, n)), -1) * 1e8
         np.testing.assert_array_equal(solve_upper_triangular(U + lower, B, tol=0.0), X)
 

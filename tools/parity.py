@@ -7,18 +7,25 @@ Usage::
 ``REF`` is a git ref of this repository, whose ``src/`` is extracted with
 ``git archive`` into a temporary directory, or a directory that holds a
 checkout (its ``src/supq``).  Every operation of ``bench/workloads.build``
-for each workload (default: all four) and seed (default: 1, 2 and 3) runs
-at tol 1e-9 and at tol 0, once on REF's ``src`` and once on this
-checkout's, each side in its own subprocess; the CLI operations get
-``--tol``.  Three public entries that no workload calls run on the inputs
-of one that does, appended after each build's operations so that those keep
-their ids: ``iwasawa.decompose_g_admissible`` on every ``decompose_gauss``
-input, ``iwasawa.sym`` on every ``check_admissible_an`` input, and
+for each workload and seed (default: 1, 2 and 3) runs at tol 1e-9 and at
+tol 0, once on REF's ``src`` and once on this checkout's, each side in its
+own subprocess; the CLI operations get ``--tol``.  Three public entries that
+no workload calls run on the inputs of one that does, appended after each
+build's operations so that those keep their ids:
+``iwasawa.decompose_g_admissible`` on every ``decompose_gauss`` input,
+``iwasawa.sym`` on every ``check_admissible_an`` input, and
 ``admissible.pseudo_rayleigh(s, e_1, sig)`` on every ``check_admissible_q``
-input ``s`` (``e_1`` is timelike whenever p >= 1).  Both sides import
-``bench/workloads.py`` of this checkout, read-only, and build their inputs
-with their own library; an input that differs between the sides is reported
-as a difference.
+input ``s`` (``e_1`` is timelike whenever p >= 1).  The workload ``exact``
+takes no seed: it runs ``decompose_gauss``, ``decompose_gs`` and
+``decompose_g_admissible`` on every ``g = s @ b`` that
+``tests/test_exact_families.py`` draws (``test_routes_recover_exact_factors``
+at n = 4, 8, 16 and 32, the ``ILL_CONDITIONED_CELLS``, and the unpinned cell
+n = 16, k = 18, |m| <= 2 at seed 18), where the two triangular divisions
+decide whether Gauss returns the exact factors.  The default runs the four
+benchmark workloads, then ``exact``.  Both sides import
+``bench/workloads.py`` and ``tests/test_exact_families.py`` of this
+checkout, read-only, and build their inputs with their own library; an
+input that differs between the sides is reported as a difference.
 
 It prints, per public entry, the number of calls whose outputs (or
 refusals) are bit for bit the same; then each changed verdict, refusal
@@ -48,7 +55,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("factor_small", "factor_large", "admissibility_mix", "cli_docs")
+WORKLOADS = ("factor_small", "factor_large", "admissibility_mix", "cli_docs", "exact")
+# (n, k, mmax, seed) of the one exact-family cell that the tests do not pin
+UNPINNED_CELL = (16, 18, 2, 18)
 SEEDS = (1, 2, 3)
 TOLS = (1e-9, 0.0)
 # (module, func) of a workload's call -> the entry also run on its inputs
@@ -75,6 +84,43 @@ def _digest(args: tuple) -> str:
     return h.hexdigest()
 
 
+def _load(name: str, path: Path):
+    """The module at ``path``, registered as ``name`` (dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_ops(wl, name: str, seed: int, supq) -> list:
+    """The operations of ``bench/workloads.build``, then the entries that no workload calls."""
+    ops = wl.build(name, seed, "docs", supq).ops  # relative: the same paths on both sides
+    ops += [dataclasses.replace(op, module=ALSO[key][0], func=ALSO[key][1])
+            for op in ops if (key := (op.module, op.func)) in ALSO]
+    for op in [op for op in ops if (op.module, op.func) == ("admissible", "check_admissible_q")]:
+        s, sig = op.args
+        ops.append(dataclasses.replace(op, func="pseudo_rayleigh", args=(s, np.eye(len(s), dtype=complex)[0], sig)))
+    return ops
+
+
+def _exact_ops(wl, supq) -> list:
+    """The three decompositions of each draw of ``tests/test_exact_families.py``, in its order."""
+    ef = _load("exact_families", ROOT / "tests" / "test_exact_families.py")
+    cells = [(n, None, ef.MMAX, 3100 + n, ef.DRAWS) for n in (4, 8, 16, 32)]
+    cells += [(*cell, 20) for cell in (*ef.ILL_CONDITIONED_CELLS, UNPINNED_CELL)]
+    ops = []
+    for n, k, mmax, seed, draws in cells:
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            p = int(rng.integers(1, n))
+            sig = supq.Signature(p, n - p)
+            s, b = ef.exact_pair(rng, sig, k, mmax)
+            ops += [wl.Op("factor", "iwasawa", func, (s @ b, sig))
+                    for func in ("decompose_gauss", "decompose_gs", "decompose_g_admissible")]
+    return ops
+
+
 def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
     """Run every operation on the library under ``src``; pickle one record per call to ``out``."""
     sys.path.insert(0, src)
@@ -82,19 +128,11 @@ def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
 
     if not Path(supq.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise RuntimeError(f"imported {supq.__file__}, not the library under {src}")
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    wl = importlib.util.module_from_spec(spec)
-    sys.modules["bench_workloads"] = wl  # its dataclasses look their module up
-    spec.loader.exec_module(wl)
+    wl = _load("bench_workloads", ROOT / "bench" / "workloads.py")
     modules = {}
     for name in workloads:
-        for seed in seeds:
-            ops = wl.build(name, seed, "docs", supq).ops  # relative: the same paths on both sides
-            ops += [dataclasses.replace(op, module=ALSO[key][0], func=ALSO[key][1])
-                    for op in ops if (key := (op.module, op.func)) in ALSO]
-            for op in [op for op in ops if (op.module, op.func) == ("admissible", "check_admissible_q")]:
-                s, sig = op.args
-                ops.append(dataclasses.replace(op, func="pseudo_rayleigh", args=(s, np.eye(len(s), dtype=complex)[0], sig)))
+        for seed in ["-"] if name == "exact" else seeds:
+            ops = _exact_ops(wl, supq) if name == "exact" else _bench_ops(wl, name, seed, supq)
             for op in ops:
                 modules.setdefault(op.module, importlib.import_module(f"supq.{op.module}"))
             for tol in TOLS:
@@ -222,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="a git ref of this repository, or a checkout directory")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (repeatable; default: all four)")
+                        help="a workload to run (repeatable; default: all five)")
     parser.add_argument("--seed", action="append", type=int, help="a build seed (repeatable; default: 1, 2, 3)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
