@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NotTimelike
+from .errors import NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins, _gram,
                          _pairing, _sample_cones, _scaled, _sym)
@@ -81,14 +81,12 @@ class AdmissibilityReport:
 
 
 def is_admissible_diag(d, sig: Signature) -> bool:
-    """True when min of the first p entries strictly exceeds max of the rest;
-    NonFiniteInput for a NaN or Inf entry, ValueError for an entry with a
-    nonzero imaginary part (a complex array that is exactly real passes)."""
-    v = np.asarray(d, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != sig.n:
-        raise DimensionMismatch(f"expected {sig.n} real entries")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("exponents contain NaN or Inf entries")
+    """True when min of the first p entries strictly exceeds max of the rest.
+    ``d`` is validated as a vector of length n (DimensionMismatch for another
+    shape, NonFiniteInput for a NaN or Inf entry); an entry with a nonzero
+    imaginary part raises ValueError (a complex array that is exactly real
+    passes)."""
+    v = _check_vector(d, sig)
     if v.imag.any():
         raise ValueError("exponents must be real")
     return bool(v.real[: sig.p].min() > v.real[sig.p :].max())

@@ -43,16 +43,14 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     from det = 0; at the default tol the window is at most 1e-3."""
     tol = max(tol, _rounding_bound(M.shape[0]))
     miss = abs(_lapack.det(M, signature="D->D") - 1.0)
-    # The allowance below is never less than the plain window (numpy
-    # reports the cond of a finite singular matrix as inf, not NaN), so the
-    # SVD is needed only for a determinant outside it.
+    # The allowance below is never less than the plain window (a singular
+    # or failed SVD reads cond inf, not NaN), so the SVD is needed only for a
+    # determinant outside it.
     if miss <= min(tol, 0.5):
         return True
-    try:
-        cond = float(np.linalg.cond(M))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    return miss <= min(tol * float(np.clip(cond, 1.0, 1e6)), 0.5)
+    s = _lapack.svd(M, signature="D->d")  # the singular values np.linalg.cond divides; NaN if LAPACK failed
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    return miss <= min(tol * min(max(cond, 1.0), 1e6), 0.5)
 
 
 @_quiet

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
-from .kernel import DEFAULT_TOL, _quiet, as_cmatrix
+from .kernel import DEFAULT_TOL, _finite, _quiet, as_cmatrix
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,6 @@ def _gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``J dagger(x) x``, equal in value to ``j[:, None] * _sym(x, j)``: every
     sign flip of J is exact, but a zero can come out with the other sign."""
     return x.conj().T @ (w[:, None] * x)
-
-
-def _finite(h: np.ndarray) -> np.ndarray:
-    if not np.isfinite(h).all():
-        raise NonFiniteInput("matrix contains NaN or Inf entries")
-    return h
 
 
 def sample_cone(cls: ConeClass | str, sig: Signature, rng_seed: int | np.random.Generator) -> np.ndarray:

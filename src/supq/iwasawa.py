@@ -13,9 +13,10 @@ unique when it exists):
   are exactly the obstruction.  Every factor it returns is that
   J-Cholesky's, its pivots judged at the rounding bound
   ``kernel._rounding_bound(n)``.  When it does not certify them, the
-  signed LDL* loop only names the refusal: the first pivot, in order, that
-  vanishes to rounding (:class:`~supq.errors.SingularMinor`) or has the
-  wrong sign (:class:`~supq.errors.WrongInertia`).  Then s = g b^{-1} is
+  pivots of the signed LDL* loop, judged by the same rule in the route's
+  step, only name the refusal: the first pivot, in order, that vanishes to
+  rounding (:class:`~supq.errors.SingularMinor`) or has the wrong sign
+  (:class:`~supq.errors.WrongInertia`).  Then s = g b^{-1} is
   solved by back substitution, never multiplied by an inverse, so the
   residual ``||g - s b||_F`` stays of order ``n eps ||s||_F ||b||_F``
   however ill-conditioned b is.
@@ -40,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import _admissibility_report
-from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable
+from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, SingularMinor, WrongInertia
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
-from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _finite, _gram, _sym
-from .kernel import (DEFAULT_TOL, _frobenius, _j_cholesky, _lapack, _quiet, _rounding_bound, _signed_ldl,
-                     _solve_lower, _spectrum, mat_exp)
+from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _gram, _sym
+from .kernel import (DEFAULT_TOL, _finite, _frobenius, _j_cholesky, _lapack, _pivot_clears, _quiet,
+                     _rounding_bound, _signed_ldl, _solve_lower, _spectrum, mat_exp)
 
 
 @dataclass
@@ -188,9 +189,9 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     one Cholesky of the leading p x p block and one of minus its Schur
     complement; b is always that blocked J-Cholesky's factor.  Its pivots
     are judged at the rounding bound ``kernel._rounding_bound(n) = 8 n eps``,
-    not at ``tol``.  When it does not certify them, the signed LDL* loop
-    only names the refusal and returns no factor.  Then s = g b^{-1},
-    solved by substitution, is returned only through
+    not at ``tol``.  When it does not certify them, the pivots of the
+    signed LDL* loop, judged at the same bound, only name the refusal.
+    Then s = g b^{-1}, solved by substitution, is returned only through
     ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``; its
     determinant is not judged again, so s can fail the determinant window of
     ``is_member`` (ROADMAP item 3).  When s misses the defect window, one
@@ -202,10 +203,11 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     NotInG
         If g is not n x n with det(g) = 1 to tolerance.
     SingularMinor
-        If a pivot of J h vanishes to rounding (boundary case).  When the
-        loop certifies every pivot the J-Cholesky did not (the two orders
-        of summation rounded apart), it names the pivot with the smallest
-        ratio to its cancellation scale.
+        If a pivot of J h vanishes to rounding (boundary case).  When
+        every pivot of the loop clears with its forced sign where the
+        J-Cholesky did not (the two orders of summation rounded apart), the
+        refusal names the pivot with the smallest ratio to its cancellation
+        scale.
     WrongInertia
         If a pivot has the wrong sign (g lies in another cell).  ``index`` is
         the first pivot, in order, that vanishes or has the wrong sign.
@@ -224,17 +226,30 @@ def _gauss(g: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.nd
 
 def _gauss_step(x: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss step: ``(x b^{-1}, b)`` with b the blocked J-Cholesky factor
-    of ``J dagger(x) x``, every pivot judged at the rounding bound; if it
-    declines, the signed LDL* loop names the refusal and raises.  ``x
+    of ``J dagger(x) x``, every pivot judged at the rounding bound.  ``x
     b^{-1}`` is solved by substitution, not multiplied by an inverse, whose
     product carries an error of order ``eps ||x|| ||b^{-1}||``: ``s b = x``
     is ``b^T s^T = x^T``, solved by ``kernel._solve_lower``.  s comes back
-    as a fresh C-contiguous array."""
+    as a fresh C-contiguous array.
+
+    When the J-Cholesky declines, the pivots d of the signed LDL* loop,
+    judged by ``kernel._pivot_clears`` at the same bound, name the refusal:
+    the first pivot, in order, that does not clear (:class:`SingularMinor`)
+    or clears with the wrong sign (:class:`WrongInertia`, d > 0 exactly on
+    the first p).  If every pivot clears with its forced sign, the two
+    summation orders rounded apart, and the refusal is :class:`SingularMinor`
+    at the pivot with the smallest ``|d_k| / cancel_k``."""
     bound = _rounding_bound(sig.n)
     jh = _finite(_gram(x, sig.j_diag))
     b = _j_cholesky(jh, sig.p, bound)
     if b is None:
-        _signed_ldl(jh, bound, sig.p)  # not certified: the loop names the refusal and raises
+        _, d, cancels = _signed_ldl(jh)
+        clears = _pivot_clears(d, cancels, bound)
+        refused = ~clears | ((d > 0) != (np.arange(sig.n) < sig.p))
+        if refused.any():
+            k = int(np.argmax(refused))
+            raise (WrongInertia if clears[k] else SingularMinor)(k + 1)
+        raise SingularMinor(int(np.argmin(np.abs(d) / cancels)) + 1)
     return _solve_lower(b.T, x.T).T.copy(), b
 
 

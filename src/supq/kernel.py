@@ -7,8 +7,10 @@ solves, all on numpy ``complex128`` arrays.  ``eig``, ``EigenResult``,
 ``DEFAULT_TOL_EIG``, ``signed_ldl`` and ``solve_upper_triangular`` are
 called by no library path and are not exported by ``supq``; they stay
 here because the benchmark's tracer names them.
-Apart from the J-Cholesky and the signed LDL* loop that names its
-refusals, which take the number p of positive pivots, everything here is
+The signed LDL* loop returns every pivot with its cancellation scale and
+judges none; :func:`signed_ldl` and the Gauss step each judge them with
+the one pivot rule :func:`_pivot_clears`.  Apart from the J-Cholesky,
+which takes the number p of positive pivots, everything here is
 signature-agnostic; the indefinite geometry lives in
 :mod:`supq.indefinite`.  All functions are pure.
 
@@ -42,7 +44,6 @@ from .errors import (
     NotHermitian,
     SingularDiagonal,
     SingularMinor,
-    WrongInertia,
 )
 
 #: Default relative tolerance for structural checks (membership, pivots, ...).
@@ -68,9 +69,13 @@ def as_cmatrix(A, square: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d array, got ndim={M.ndim}")
     if square and M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    return _finite(M)
+
+
+def _finite(h: np.ndarray) -> np.ndarray:
+    if not np.isfinite(h).all():
         raise NonFiniteInput("matrix contains NaN or Inf entries")
-    return M
+    return h
 
 
 def _frobenius(x: np.ndarray, axis: int | None = None):
@@ -228,11 +233,12 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(L, d)`` with L unit lower triangular and d a real vector such
     that ``H = L @ diag(d) @ L.conj().T``.  The diagonal may be indefinite;
     no pivoting is performed, so the running products ``prod(d[:k])`` equal
-    the leading principal minors of H.  Each pivot is compared against the
-    magnitude of the terms whose cancellation produced it (``|H_kk|`` plus
-    the subtracted ``|L|^2 |d|`` mass): a pivot below ``tol`` times that
-    cancellation scale is indistinguishable from a vanishing leading minor
-    and aborts the factorization.  A small pivot that clears the test is
+    the leading principal minors of H.  Each pivot is judged by
+    :func:`_pivot_clears` against the magnitude of the terms whose
+    cancellation produced it (``|H_kk|`` plus the subtracted ``|L|^2 |d|``
+    mass): a pivot below ``tol`` times that cancellation scale is
+    indistinguishable from a vanishing leading minor, and the first such
+    pivot refuses the factorization.  A small pivot that clears the test is
     fine -- the ratio of a moderate minor to a large preceding one is still
     computed to full relative accuracy.
 
@@ -242,31 +248,29 @@ def signed_ldl(H, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         If ``||H - H*||_F > tol * ||H||_F``, both norms taken so that they
         do not overflow.
     SingularMinor
-        If the k-th pivot is zero to tolerance (1-based k).
+        If the k-th pivot is zero to tolerance (1-based k, the first such).
     """
     H = as_cmatrix(H, square=True)
     if _frobenius(H - H.conj().T) > tol * _frobenius(H):
         raise NotHermitian("signed_ldl needs a Hermitian input")
-    return _signed_ldl(H, tol)
+    L, d, cancels = _signed_ldl(H)
+    singular = np.flatnonzero(~_pivot_clears(d, cancels, tol))
+    if singular.size:
+        raise SingularMinor(int(singular[0]) + 1)
+    return L, d
 
 
-def _signed_ldl(H: np.ndarray, tol: float, p: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`signed_ldl` on a square, finite complex128 ``H`` that is
-    Hermitian up to roundoff, such as one the library built as ``J dagger(g) g``.
-
-    Judges no symmetry: it factors the Hermitian part ``(H + H*) / 2``, so a
-    roundoff-level asymmetry never fails a call made with ``tol`` below
-    roundoff.
-
-    With the forced inertia ``p`` (d > 0 exactly on the first p pivots) the
-    loop only names why :func:`_j_cholesky` declined ``H``, and never
-    returns: walking the pivots in order, it raises at the first one that
-    fails :func:`_pivot_clears` (:class:`SingularMinor`) or clears with the
-    wrong sign (:class:`WrongInertia`).  If every pivot clears with its
-    forced sign, the two summation orders rounded apart, and the refusal is
-    :class:`SingularMinor` at the pivot with the smallest
-    ``|d_k| / cancel_k``.
-    """
+def _signed_ldl(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, d, cancels)``: the unpivoted LDL* of the Hermitian part ``(H +
+    H*) / 2`` of a square, finite complex128 ``H``, such as one the library
+    built as ``J dagger(g) g``, with ``cancels[k]`` the cancellation scale
+    of pivot ``d[k]``, ``|H_kk|`` plus the subtracted mass.  It judges
+    neither the symmetry nor any pivot: its callers judge the pivots with
+    :func:`_pivot_clears`.  The loop stops only at a pivot that is exactly
+    zero or NaN, which clears no tolerance; that pivot and every later entry
+    of d and cancels read 0, and the later columns of L are the identity's.
+    Past a pivot that does not clear, later entries can overflow, so its
+    callers run under ``_quiet``."""
     n = H.shape[0]
     Hs = 0.5 * (H + H.conj().T)
     L = np.eye(n, dtype=np.complex128)
@@ -277,21 +281,16 @@ def _signed_ldl(H: np.ndarray, tol: float, p: int | None = None) -> tuple[np.nda
         scaled = np.abs(L[k, :k]) * np.sqrt(np.abs(d[:k]))
         subtracted = np.copysign(scaled * scaled, d[:k])
         pivot = float(Hs[k, k].real - subtracted.sum())
-        cancel = abs(Hs[k, k]) + float(np.abs(subtracted).sum())
-        if not _pivot_clears(pivot, cancel, tol):
-            raise SingularMinor(k + 1)
-        if p is not None and (pivot > 0) != (k < p):
-            raise WrongInertia(k + 1)
-        d[k], cancels[k] = pivot, cancel
+        if not abs(pivot) > 0.0:  # zero or NaN
+            break
+        d[k], cancels[k] = pivot, abs(Hs[k, k]) + float(np.abs(subtracted).sum())
         col = Hs[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k].conj() * d[:k])
         L[k + 1 :, k] = col / pivot
-    if p is not None:
-        raise SingularMinor(int(np.argmin(np.abs(d) / cancels)) + 1)
-    return L, d
+    return L, d, cancels
 
 
 def _pivot_clears(pivot, cancel, tol: float):
-    """The pivot rule of :func:`signed_ldl` and :func:`_definite`, elementwise:
+    """The pivot rule of :func:`signed_ldl`, the Gauss step and :func:`_definite`, elementwise:
     true where ``|pivot|`` exceeds ``tol`` times its cancellation scale, the
     magnitudes whose difference produced it.  The rule is relative, so it
     gives the same verdict at every scale; a zero pivot (zero scale
@@ -329,11 +328,12 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     ``b* J b = Hs``.  Both blocks are :func:`_definite`, with scales
     ``|Hs_kk|`` and ``|Hs_kk| + (X* X)_kk``, so pivot k is ``b_kk^2`` with
     cancellation scale ``|Hs_kk| + sum_{i<k} |b_ik|^2``.  None unless both
-    certify; :func:`_signed_ldl` with p then names the refusal.
+    certify; the Gauss step then names the refusal from the pivots of
+    :func:`_signed_ldl`.
 
     ``H``, which the caller built for this call, is overwritten by Hs; Hs is
-    exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop that
-    names a refusal sees the same matrix.  C1* and C2* are conjugated
+    exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop whose
+    pivots name a refusal sees the same matrix.  C1* and C2* are conjugated
     straight into their blocks of b.  X is solved by :func:`_solve_lower` and
     copied into an array of its own, because ``X* X`` of a strided view can
     round differently (a q = 1 column is a strided dot product)."""

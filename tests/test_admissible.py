@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supq.admissible import (
+    _labelled_report,
     check_admissible_an,
     check_admissible_q,
     cone_preservation_check,
@@ -201,6 +202,15 @@ def test_null_direction_keeps_the_labels_read_before_it():
     assert report.reason == "null eigenvector"
     assert report.timelike_values == [3.0]
     assert report.spacelike_values == []
+
+
+def test_too_many_timelike_directions_name_an_inertia_mismatch():
+    # the eigenpairs (3, e_1) and (2, e_1 + e_2 / 2): both directions are
+    # timelike, one more than p = 1
+    report = _labelled_report(np.array([3, 2], complex), np.array([[1, 1], [0, 0.5]], complex), SIG11, 1e-9)
+    assert not report.admissible
+    assert report.reason == "inertia mismatch: 2 timelike directions, expected 1"
+    assert report.timelike_values == [3.0, 2.0] and report.spacelike_values == []
 
 
 # ---------------------------------------------------------------------------

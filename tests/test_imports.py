@@ -73,15 +73,22 @@ def test_no_unused_private_names():
 
 def test_errstate_is_entered_only_at_public_entries():
     # one np.errstate per public call, none below it: a private helper runs
-    # under the errstate of the public call that reached it
-    quiet = set()
+    # under the errstate of the public call that reached it.  _quiet is
+    # entered only as a decorator: numpy 2 enters one errstate object as a
+    # with block only once per process
+    quiet, blocks = set(), []
     for path in MODULES:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and any(
                     isinstance(d, ast.Name) and d.id == "_quiet" for d in node.decorator_list):
                 quiet.add(node.name)
+        blocks += [(path.stem, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.With)
+                   and any(isinstance(item.context_expr, ast.Name) and item.context_expr.id == "_quiet"
+                           for item in node.items)]
     assert {"eig", "sym", "dress", "decompose_gauss", "check_admissible_q"} <= quiet
     assert sorted(name for name in quiet if name.startswith("_")) == []
+    assert blocks == []
 
 
 # Every LAPACK call of the package, as
@@ -90,6 +97,7 @@ LAPACK_CALLS = [
     ("admissible", "_labelled_report", "eigh_lo", "D->dD"),
     ("admissible", "leading_minors", "det", "D->D"),
     ("groups", "_det_is_one", "det", "D->D"),
+    ("groups", "_det_is_one", "svd", "D->d"),
     ("iwasawa", "q_log", "solve", "DD->D"),
     ("kernel", "_definite", "cholesky_lo", "D->D"),
     ("kernel", "_solve_lower", "solve", "DD->D"),
@@ -105,9 +113,9 @@ def test_one_general_eigensolver_and_one_cholesky():
     # kernel._lapack, with an explicit complex signature: every general
     # eigensolve through kernel._spectrum, which holds the size cap and the
     # NoConvergence of a LAPACK failure, and every Cholesky through
-    # kernel._definite, which holds the pivot rule.  One numpy.linalg
-    # wrapper is left: the SVD of groups._det_is_one outside its plain
-    # window, off the hot path.
+    # kernel._definite, which holds the pivot rule.  No numpy.linalg
+    # wrapper is left: groups._det_is_one takes its SVD through the gufunc
+    # that np.linalg.cond calls.
     lapack, wrappers, binders = set(), set(), set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -126,7 +134,7 @@ def test_one_general_eigensolver_and_one_cholesky():
                       and base.value.id == "np" and node.func.attr != "norm"):
                     wrappers.add(site)
     assert sorted(lapack) == LAPACK_CALLS
-    assert sorted(wrappers) == [("groups", "_det_is_one", "cond")]
+    assert sorted(wrappers) == []
     assert binders == {"kernel"}
     for _, _, gufunc, signature in LAPACK_CALLS:
         assert signature in getattr(kernel._lapack, gufunc).types, (gufunc, signature)

@@ -388,13 +388,10 @@ def _near_boundary(sig, rng):
 def _loop_factor(jh, p, tol):
     """The reference factor sqrt|d| L* of the signed LDL* loop, or the
     (type, index) of its first obstruction in order: a pivot with the wrong
-    sign before the one at which the loop stops, else that one."""
-    L, d = kernel._signed_ldl(jh, 0.0)  # the pivots the loop computes at every tol
-    try:
-        kernel._signed_ldl(jh, tol)
-        stop = d.size + 1
-    except SingularMinor as exc:
-        stop = exc.index
+    sign before the first one that does not clear tol, else that one."""
+    L, d, cancels = kernel._quiet(kernel._signed_ldl)(jh)  # as under the public call that reaches it
+    singular = np.flatnonzero(~kernel._pivot_clears(d, cancels, tol))
+    stop = int(singular[0]) + 1 if singular.size else d.size + 1
     wrong = np.flatnonzero((d > 0) != (np.arange(d.size) < p))
     if wrong.size and wrong[0] + 1 < stop:
         return None, (WrongInertia, int(wrong[0]) + 1)

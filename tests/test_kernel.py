@@ -21,6 +21,7 @@ from supq.kernel import (
     EIG_SIZE_CAP,
     _definite,
     _frobenius,
+    _pivot_clears,
     _signed_ldl,
     _solve_lower,
     _spectrum,
@@ -287,6 +288,15 @@ def test_signed_ldl_singular_minor_index():
     with pytest.raises(SingularMinor) as exc:
         signed_ldl([[1, 1], [1, 1]])
     assert exc.value.index == 2
+    # the loop itself raises nothing: it stops at the exactly zero pivot 2,
+    # and d and cancels read 0 from there on
+    H = np.array([[1, 1, 5], [1, 1, 1], [5, 1, 1]], dtype=complex)
+    with pytest.raises(SingularMinor) as exc:
+        signed_ldl(H)
+    assert exc.value.index == 2
+    L, d, cancels = _signed_ldl(H)
+    assert d.tolist() == [1.0, 0.0, 0.0] and cancels.tolist() == [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(L, [[1, 0, 0], [1, 1, 0], [5, 0, 1]])
 
 
 def test_signed_ldl_small_but_accurate_pivot_is_kept():
@@ -312,12 +322,8 @@ def test_certified_cholesky_judges_a_cancelling_pivot_as_the_loop_does(eps):
     A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]], dtype=complex)
     certified = _definite(A, abs(A.diagonal().real), 1e-6) is not None
     assert certified == (eps > 2e-6)
-    try:
-        _signed_ldl(A, 1e-6)
-    except SingularMinor:
-        assert not certified
-    else:
-        assert certified
+    _, d, cancels = _signed_ldl(A)
+    assert _pivot_clears(d, cancels, 1e-6).all() == certified
 
 
 def test_definite_reads_a_lapack_failure_from_its_nan_factor():

@@ -19,6 +19,12 @@ def test_the_working_tree_has_parity_with_itself(capsys):
     assert not [line for line in out if line.startswith(("changed:", "largest relative change:"))]
 
 
+def test_a_seedless_family_runs_once_whatever_the_seeds(capsys):
+    # graded: five calls on each of 308 matrices, at two tols, not once per seed
+    assert parity.main([str(ROOT), "--workload", "graded", "--seed", "1", "--seed", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3080 calls, 0 with differences"
+
+
 def test_a_changed_last_bit_is_reported(tmp_path, capsys):
     # s of the Gauss route scaled by 1 + 2^-45: the CLI's decompose output
     # changes, and so does decompose_g_admissible's, which runs on the inputs

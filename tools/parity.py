@@ -21,11 +21,25 @@ takes no seed: it runs ``decompose_gauss``, ``decompose_gs`` and
 ``tests/test_exact_families.py`` draws (``test_routes_recover_exact_factors``
 at n = 4, 8, 16 and 32, the ``ILL_CONDITIONED_CELLS``, and the unpinned cell
 n = 16, k = 18, |m| <= 2 at seed 18), where the two triangular divisions
-decide whether Gauss returns the exact factors.  The default runs the four
-benchmark workloads, then ``exact``.  Both sides import
-``bench/workloads.py`` and ``tests/test_exact_families.py`` of this
-checkout, read-only, and build their inputs with their own library; an
-input that differs between the sides is reported as a difference.
+decide whether Gauss returns the exact factors.  Three more workloads take
+no seed.  ``boundary`` runs the same three decompositions on the
+``_cell_boundary`` draws of ``tests/test_iwasawa.py``, 200 per delta, with
+the deltas and generators of
+``test_gs_null_test_at_tol_never_misnames_a_boundary_element``: elements
+within |delta| <= 1e-9 of the cell boundary, where Gauss refuses most often
+and the signed LDL* loop names the refusal.  ``dressing`` runs ``dress(b, g,
+sig)`` on 300 draws per spread 4, 10, 12 and 16 of ``g = random_g0(sig, rng,
+spread)``, with ``sig = random_signature(rng, 6)`` and ``b =
+random_admissible_an(sig, rng)`` drawn first from ``default_rng(100 +
+spread)``.  ``graded`` runs ``check_admissible_q``, ``check_admissible_an``,
+``q_log``, ``decompose_gauss`` and ``decompose_gs`` on ``diag(10^e, 10^-e)``
+at signature (1, 1), e = 0..307.  The default runs the four benchmark
+workloads, then ``exact``, ``boundary``, ``dressing`` and ``graded``, so
+that every operation keeps its id.  Both sides import
+``bench/workloads.py``, ``tests/test_exact_families.py`` and
+``tests/test_iwasawa.py`` of this checkout, read-only, and build their
+inputs with their own library; an input that differs between the sides is
+reported as a difference.
 
 It prints, per public entry, the number of calls whose outputs (or
 refusals) are bit for bit the same; then each changed verdict, refusal
@@ -55,9 +69,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("factor_small", "factor_large", "admissibility_mix", "cli_docs", "exact")
+WORKLOADS = ("factor_small", "factor_large", "admissibility_mix", "cli_docs", "exact", "boundary", "dressing",
+             "graded")
+DECOMPOSITIONS = ("decompose_gauss", "decompose_gs", "decompose_g_admissible")
 # (n, k, mmax, seed) of the one exact-family cell that the tests do not pin
 UNPINNED_CELL = (16, 18, 2, 18)
+# the deltas of test_gs_null_test_at_tol_never_misnames_a_boundary_element
+BOUNDARY_DELTAS = (1e-9, 1e-11, 1e-13, 1e-15, -1e-15, -1e-13, -1e-11, -1e-9)
+DRESS_SPREADS = (4, 10, 12, 16)
+GRADED = (("verdict", "admissible", "check_admissible_q"), ("verdict", "admissible", "check_admissible_an"),
+          ("q_log", "iwasawa", "q_log"), ("factor", "iwasawa", "decompose_gauss"),
+          ("factor", "iwasawa", "decompose_gs"))
 SEEDS = (1, 2, 3)
 TOLS = (1e-9, 0.0)
 # (module, func) of a workload's call -> the entry also run on its inputs
@@ -116,9 +138,43 @@ def _exact_ops(wl, supq) -> list:
             p = int(rng.integers(1, n))
             sig = supq.Signature(p, n - p)
             s, b = ef.exact_pair(rng, sig, k, mmax)
-            ops += [wl.Op("factor", "iwasawa", func, (s @ b, sig))
-                    for func in ("decompose_gauss", "decompose_gs", "decompose_g_admissible")]
+            ops += [wl.Op("factor", "iwasawa", func, (s @ b, sig)) for func in DECOMPOSITIONS]
     return ops
+
+
+def _boundary_ops(wl, supq) -> list:
+    """The three decompositions of each ``_cell_boundary`` draw of ``tests/test_iwasawa.py``, in its order."""
+    cell_boundary = _load("iwasawa_tests", ROOT / "tests" / "test_iwasawa.py")._cell_boundary
+    ops = []
+    for delta in BOUNDARY_DELTAS:
+        rng = np.random.default_rng(int(-np.log10(abs(delta))) + (delta > 0))
+        for _ in range(200):
+            g, sig = cell_boundary(rng, delta)
+            ops += [wl.Op("factor", "iwasawa", func, (g, sig)) for func in DECOMPOSITIONS]
+    return ops
+
+
+def _dressing_ops(wl, supq) -> list:
+    """``dress(b, g, sig)`` on 300 draws per spread of ``g``."""
+    selftest = importlib.import_module("supq.selftest")
+    ops = []
+    for spread in DRESS_SPREADS:
+        rng = np.random.default_rng(100 + spread)
+        for _ in range(300):
+            sig = selftest.random_signature(rng, 6)
+            b = selftest.random_admissible_an(sig, rng)
+            ops.append(wl.Op("dress", "iwasawa", "dress", (b, supq.random_g0(sig, rng, spread), sig)))
+    return ops
+
+
+def _graded_ops(wl, supq) -> list:
+    """The five calls of ``GRADED`` on ``diag(10^e, 10^-e)`` at signature (1, 1), e = 0..307."""
+    sig = supq.Signature(1, 1)
+    return [wl.Op(check, module, func, (np.diag([10.0**e, 10.0**-e]).astype(np.complex128), sig))
+            for e in range(308) for check, module, func in GRADED]
+
+
+SEEDLESS = {"exact": _exact_ops, "boundary": _boundary_ops, "dressing": _dressing_ops, "graded": _graded_ops}
 
 
 def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
@@ -131,8 +187,8 @@ def _worker(src: str, workloads: list[str], seeds: list[int], out) -> None:
     wl = _load("bench_workloads", ROOT / "bench" / "workloads.py")
     modules = {}
     for name in workloads:
-        for seed in ["-"] if name == "exact" else seeds:
-            ops = _exact_ops(wl, supq) if name == "exact" else _bench_ops(wl, name, seed, supq)
+        for seed in ["-"] if name in SEEDLESS else seeds:
+            ops = SEEDLESS[name](wl, supq) if name in SEEDLESS else _bench_ops(wl, name, seed, supq)
             for op in ops:
                 modules.setdefault(op.module, importlib.import_module(f"supq.{op.module}"))
             for tol in TOLS:
@@ -260,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="a git ref of this repository, or a checkout directory")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (repeatable; default: all five)")
+                        help="a workload to run (repeatable; default: all eight)")
     parser.add_argument("--seed", action="append", type=int, help="a build seed (repeatable; default: 1, 2, 3)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
