@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from . import docio
-from .admissible import check_admissible_an, check_admissible_q
 from .errors import MembershipError, NotDecomposable, NotInG0, ParseError, SupqError, ZeroVector
 from .groups import GroupTag, is_member
 from .indefinite import Signature, _classify, _cone_margins
@@ -110,6 +109,8 @@ def cmd_check(args) -> tuple[dict, dict]:
     if args.set not in ("q_adm", "an_adm"):
         outputs["verdict"] = is_member(M, GroupTag(args.set), sig, args.tol)
         return outputs, {}
+    from .admissible import check_admissible_an, check_admissible_q  # so no other command loads it
+
     checker = check_admissible_q if args.set == "q_adm" else check_admissible_an
     try:
         report = checker(M, sig, args.tol)

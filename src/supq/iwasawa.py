@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import _admissibility_report
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, SingularMinor, WrongInertia
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _gram, _sym
@@ -329,6 +328,8 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         non-finite log), or if exp of the result misses ``s`` by more than
         ``10 * max(tol, kernel._rounding_bound(n)) * max(1, ||s||_F)``.
     """
+    from .admissible import _admissibility_report  # imported here, so the routes never load it
+
     s = _require(s, GroupTag.Q, sig, tol)
     vals, V = _spectrum(s, vectors=True)
     report = _admissibility_report(s, sig, tol, spectrum=(vals, V))
@@ -368,6 +369,8 @@ def decompose_g_admissible(
     NotAdmissible
         If the triangular factor fails the admissibility check.
     """
+    from .admissible import _admissibility_report
+
     s, b = _gauss(_require(g, GroupTag.G, sig, tol), sig, tol)
     report = _admissibility_report(_sym(b, sig.j_diag), sig, tol, sylvester=True)
     if not report.admissible:

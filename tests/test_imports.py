@@ -3,11 +3,16 @@ private module-level name is used in the package, only public calls enter an
 errstate, every LAPACK call goes through kernel._lapack and each
 eigensolver and Cholesky has one caller, no public decomposition or
 admissibility call reaches a numpy.linalg wrapper, the norms go
-through one helper, and no call of the package loads scipy (nor the CLI's
-decompose the selftest module)."""
+through one helper, and no call of the package loads scipy.  The package
+exports the same names as when it imported every submodule eagerly, but
+binds each on first use: ``import supq`` loads no submodule and not numpy,
+and a CLI command loads only the modules it runs (``decompose``, ``dress``
+and the membership checks never load ``supq.admissible``, ``supq.su11`` or
+``supq.selftest``)."""
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -246,14 +251,107 @@ print(json.dumps({"code": code, "selftest": selftest, "selftest_code": selftest_
 """
 
 
+def _run(code: str, *args: str) -> dict:
+    """The JSON of the last stdout line of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def test_numpy_only_paths_do_not_import_scipy(tmp_path):
     doc = tmp_path / "g.json"
     doc.write_text(dumps(matrix_to_doc(np.array([[2.0, 1.0], [1.0, 1.0]]), Signature(1, 1))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_CALLS, str(doc)],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    result = _run(_SCIPY_FREE_CALLS, str(doc))
     assert result == {"code": 0, "selftest": False, "selftest_code": 0, "scipy": False, "exp_is_identity": True}
+
+
+# Runs ``python -m supq <argv>`` and prints its exit code and the supq
+# modules it loaded.
+_COMMAND_MODULES = """
+import json
+import runpy
+import sys
+
+sys.argv = ["supq", *sys.argv[1:]]
+try:
+    runpy.run_module("supq", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("supq."))}))
+"""
+
+
+@pytest.mark.parametrize("argv, admissible", [
+    (["decompose", "--json", "--in", "{g}"], False),
+    (["dress", "--json", "--b", "{b}", "--g", "{g0}"], False),
+    (["check", "--json", "--set", "g0", "--in", "{g0}"], False),
+    (["check", "--json", "--set", "q_adm", "--in", "{q}"], True),
+], ids=["decompose", "dress", "check-g0", "check-q_adm"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, admissible):
+    sig = Signature(1, 1)
+    boost = np.array([[np.cosh(0.3), np.sinh(0.3)], [np.sinh(0.3), np.cosh(0.3)]])
+    b = np.array([[2.0, 0.5], [0.0, 0.5]])
+    docs = {"g": boost @ b, "b": b, "g0": boost, "q": b.T @ b}
+    paths = {}
+    for name, M in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps(matrix_to_doc(M, sig)))
+    result = _run(_COMMAND_MODULES, *(arg.format(**paths) for arg in argv))
+    assert result["code"] == 0
+    loaded = set(result["modules"])
+    assert "supq.cli" in loaded
+    assert ("supq.admissible" in loaded) == admissible
+    assert loaded.isdisjoint({"supq.su11", "supq.selftest"})
+
+
+def test_import_supq_loads_no_submodule_and_the_submodules_resolve():
+    result = _run("""
+import json
+import sys
+
+import supq
+
+loaded = sorted(m for m in sys.modules if m.startswith("supq.") or m == "numpy")
+print(json.dumps({"loaded": loaded, "resolved": [getattr(supq, name).__name__ for name in sys.argv[1:]]}))
+""", *EXPORTS)
+    assert result == {"loaded": [], "resolved": [f"supq.{name}" for name in EXPORTS]}
+
+
+# The exports of the package when it imported every submodule eagerly, by
+# defining module.
+EXPORTS = {
+    "admissible": ["AdmissibilityReport", "check_admissible_an", "check_admissible_q", "cone_preservation_check",
+                   "is_admissible_diag", "leading_minors", "pseudo_rayleigh"],
+    "errors": ["DimensionMismatch", "MembershipError", "NoConvergence", "NonFiniteInput", "NotAdmissible",
+               "NotDecomposable", "NotInAN", "NotInG", "NotInG0", "NotInQ", "NotTimelike", "ParseError",
+               "SingularMinor", "SupqError", "WrongInertia", "ZeroVector"],
+    "groups": ["GroupTag", "is_member", "random_admissible_diag", "random_an", "random_g0"],
+    "indefinite": ["ConeClass", "Signature", "classify", "dagger", "norm_sq", "pairing", "sample_cone"],
+    "iwasawa": ["DecompPair", "DressResult", "decompose_g_admissible", "decompose_gauss", "decompose_gs", "dress",
+                "q_log", "sym"],
+    "kernel": ["DEFAULT_TOL", "mat_exp"],
+    "su11": ["Sl2Element", "Su11ANElement", "Su11QElement", "su11_an_admissible", "su11_decompose",
+             "su11_q_admissible"],
+}
+
+
+def test_the_export_surface_is_unchanged():
+    names = sorted(name for names in EXPORTS.values() for name in names)
+    assert len(names) == 51
+    assert supq.__all__ == names
+    for module, exported in EXPORTS.items():
+        defining = importlib.import_module(f"supq.{module}")
+        for name in exported:
+            assert getattr(supq, name) is getattr(defining, name), name
+            assert name in vars(supq), name  # bound once resolved, so a rebinding finds it
+    assert set(supq.__all__) <= set(dir(supq))
+    namespace: dict = {}
+    exec("from supq import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names
+    for name in ("eig", "EigenResult", "DEFAULT_TOL_EIG", "signed_ldl", "solve_upper_triangular", "NotHermitian",
+                 "SingularDiagonal"):
+        assert not hasattr(supq, name), name
+    with pytest.raises(AttributeError, match="^module 'supq' has no attribute 'eig'$"):
+        supq.eig
