@@ -86,12 +86,10 @@ _ERROR_REPORTS = (
 
 def cmd_decompose(args) -> tuple[dict, dict]:
     M, sig, echo = _document(args.infile)
-    pairs = {}
-    if args.method in ("gauss", "both"):
-        pairs["gauss"] = decompose_gauss(M, sig, args.tol)
-    if args.method in ("gs", "both"):
-        pairs["gs"] = decompose_gs(M, sig, args.tol)
-    primary = pairs.get("gauss") or pairs["gs"]
+    # rows: (the --method value that runs a route, the route), built per call so a rebound route runs
+    pairs = {name: route(M, sig, args.tol) for name, route in (("gauss", decompose_gauss), ("gs", decompose_gs))
+             if args.method in (name, "both")}
+    primary = next(iter(pairs.values()))
     outputs = {"method": args.method, **echo, "s": docio.matrix_to_doc(primary.s, sig),
                "b": docio.matrix_to_doc(primary.b, sig), "a": [float(v) for v in primary.a],
                "n": docio.matrix_to_doc(primary.n_factor, sig)}
@@ -166,6 +164,21 @@ def cmd_selftest(args) -> tuple[dict, dict]:
     return outputs, {}
 
 
+#: The document commands, in --help order, one row each: (name, help, handler,
+#: whether it reads a document from --in, its own options as (flag, add_argument keywords)).
+_COMMANDS = (
+    ("decompose", "factor g = s b", cmd_decompose, True,
+     (("--method", {"choices": ("gs", "gauss", "both"), "default": "gauss"}),)),
+    ("check", "membership and admissibility predicates", cmd_check, True,
+     (("--set", {"required": True, "choices": ("g0", "an", "a", "n", "q", "q_adm", "an_adm")}),)),
+    ("dress", "dressing action: factor b g = g' b'", cmd_dress, False,
+     (("--b", {"required": True, "metavar": "PATH", "help": "triangular factor document"}),
+      ("--g", {"required": True, "metavar": "PATH", "help": "pseudo-unitary factor document"}))),
+    ("sym", "symmetrization dagger(b) b of a triangular factor", cmd_sym, True, ()),
+    ("classify", "cone class of a vector document", cmd_classify, True, ()),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -175,38 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    for name, help_text, func, with_input, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="structural tolerance, finite and >= 0 (default 1e-9)")
         p.add_argument("--json", action="store_true", help="emit the raw JSON report")
         if with_input:
             p.add_argument("--in", dest="infile", default=None, metavar="PATH",
                            help="matrix document path (default: stdin)")
-
-    p = sub.add_parser("decompose", help="factor g = s b")
-    common(p)
-    p.add_argument("--method", choices=("gs", "gauss", "both"), default="gauss")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("check", help="membership and admissibility predicates")
-    common(p)
-    p.add_argument("--set", required=True,
-                   choices=("g0", "an", "a", "n", "q", "q_adm", "an_adm"))
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("dress", help="dressing action: factor b g = g' b'")
-    common(p, with_input=False)
-    p.add_argument("--b", required=True, metavar="PATH", help="triangular factor document")
-    p.add_argument("--g", required=True, metavar="PATH", help="pseudo-unitary factor document")
-    p.set_defaults(func=cmd_dress)
-
-    p = sub.add_parser("sym", help="symmetrization dagger(b) b of a triangular factor")
-    common(p)
-    p.set_defaults(func=cmd_sym)
-
-    p = sub.add_parser("classify", help="cone class of a vector document")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("selftest", help="run the property suites")
     p.add_argument("--json", action="store_true", help="emit the raw JSON report")

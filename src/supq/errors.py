@@ -72,26 +72,29 @@ class NotDecomposable(SupqError):
         super().__init__(message)
 
 
-class SingularMinor(NotDecomposable):
+class _PivotRefusal(NotDecomposable):
+    """A refusal at a pivot of the Gauss route; each subclass holds its ``kind``
+    and its default message, a template filled with the 1-based pivot index."""
+
+    kind: str
+    template: str
+
+    def __init__(self, index: int, message: str | None = None):
+        super().__init__(message or self.template.format(index), index=index, kind=self.kind)
+
+
+class SingularMinor(_PivotRefusal):
     """A leading principal minor vanishes to tolerance (factorization boundary)."""
 
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(
-            message or f"leading principal minor {index} vanishes to tolerance",
-            index=index,
-            kind="singular_minor",
-        )
+    kind = "singular_minor"
+    template = "leading principal minor {} vanishes to tolerance"
 
 
-class WrongInertia(NotDecomposable):
+class WrongInertia(_PivotRefusal):
     """A pivot sign is incompatible with any positive-diagonal triangular factor."""
 
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(
-            message or f"pivot {index} has the wrong sign for a positive-diagonal factor",
-            index=index,
-            kind="wrong_inertia",
-        )
+    kind = "wrong_inertia"
+    template = "pivot {} has the wrong sign for a positive-diagonal factor"
 
 
 class NotTimelike(SupqError, ValueError):

@@ -24,9 +24,8 @@ unique when it exists):
 Each route is one step that returns (s, b), and one acceptor: s must pass
 ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``, at
 once or after the same step has run once more on s.  Otherwise the route
-raises ``NotDecomposable(kind="unitary_check")``.  The determinant half is
-not judged again, so a returned s can fail ``is_member(s, G0)`` on its
-determinant window; the README gives the counts (ROADMAP item 3).
+raises ``NotDecomposable(kind="unitary_check")``.  :func:`_certified`
+states what the acceptor leaves unjudged.
 
 The Gauss route is the default everywhere a decomposition is consumed
 (dressing, admissibility of general elements) because its failure taxonomy
@@ -108,7 +107,7 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     afterwards; its indefinite length becomes the diagonal entry b_kk > 0.
     The factor s, a fresh C-contiguous array, is returned
     only through ``groups._pseudo_unitary``, the defect half of
-    ``is_member(s, G0)`` (the determinant is not judged again); when one
+    ``is_member(s, G0)`` (see :func:`_certified`); when one
     pass misses it, the loop runs once more on s ("twice is enough":
     Giraud, Langou and Rozložník, Comput. Math. Appl. 50, 2005).
 
@@ -131,6 +130,11 @@ def decompose_gs(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     return DecompPair.of(g, *_certified(g, sig, tol, lambda x: _gs_step(x, sig, tol)))
 
 
+#: A Gram-Schmidt column's refusal, by whether its residual is null: (kind, what the message says of it).
+_COLUMN_REFUSALS = {True: ("null_boundary", "is null to tolerance (factorization boundary)"),
+                    False: ("wrong_cone", "has the wrong causal type")}
+
+
 def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """One pass of :func:`decompose_gs`'s column loop on ``R``, which it only
     reads: ``(s, b)`` with s a fresh C-contiguous array.  Column k of R is the
@@ -149,18 +153,9 @@ def _gs_step(R: np.ndarray, sig: Signature, tol: float) -> tuple[np.ndarray, np.
         ns, e2, scale = _cone_margins(r, p)
         # _classify refuses a zero vector; a zero residual is the boundary
         cone = _classify(ns, e2, tol) if e2 else ConeClass.NULL
-        if cone is ConeClass.NULL:
-            raise NotDecomposable(
-                f"column {k + 1}: residual is null to tolerance (factorization boundary)",
-                index=k + 1,
-                kind="null_boundary",
-            )
         if cone is not (ConeClass.TIMELIKE if k < p else ConeClass.SPACELIKE):
-            raise NotDecomposable(
-                f"column {k + 1}: residual has the wrong causal type",
-                index=k + 1,
-                kind="wrong_cone",
-            )
+            kind, what = _COLUMN_REFUSALS[cone is ConeClass.NULL]
+            raise NotDecomposable(f"column {k + 1}: residual {what}", index=k + 1, kind=kind)
         try:
             rk = math.ldexp(math.sqrt(abs(ns)), int(scale))
         except OverflowError:
@@ -191,9 +186,8 @@ def decompose_gauss(g, sig: Signature, tol: float = DEFAULT_TOL) -> DecompPair:
     not at ``tol``.  When it does not certify them, the pivots of the
     signed LDL* loop, judged at the same bound, only name the refusal.
     Then s = g b^{-1}, solved by substitution, is returned only through
-    ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)``; its
-    determinant is not judged again, so s can fail the determinant window of
-    ``is_member`` (ROADMAP item 3).  When s misses the defect window, one
+    ``groups._pseudo_unitary``, the defect half of ``is_member(s, G0)`` (see
+    :func:`_certified`).  When s misses the defect window, one
     more step factors s the same way, s <- s b2^{-1} and b <- b2 b
     (CholeskyQR2: Yamamoto et al., ETNA 44, 2015).
 
@@ -259,9 +253,9 @@ def _certified(g: np.ndarray, sig: Signature, tol: float, step) -> tuple[np.ndar
     b2 b, refining s itself rather than starting again from g, which stalls
     at high cond(g).  The determinant det(s) = det(g) / prod(a) is not judged
     again, so an s accepted near the edge of the window can miss det 1 by
-    about its defect, and fail ``is_member(s, G0)`` (ROADMAP item 3).  The
-    caller builds its result from the factors: ``decompose_*`` a
-    :class:`DecompPair`, :func:`dress` only the residual."""
+    about its defect, and fail ``is_member(s, G0)``; the README gives the
+    counts (ROADMAP item 3).  The caller builds its result from the factors:
+    ``decompose_*`` a :class:`DecompPair`, :func:`dress` only the residual."""
     s, b = step(g)
     if not _pseudo_unitary(s, sig, tol):
         s, b2 = step(s)

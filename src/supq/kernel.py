@@ -331,24 +331,22 @@ def _j_cholesky(H: np.ndarray, p: int, tol: float) -> np.ndarray | None:
     certify; the Gauss step then names the refusal from the pivots of
     :func:`_signed_ldl`.
 
-    ``H``, which the caller built for this call, is overwritten by Hs; Hs is
-    exactly Hermitian, so ``(Hs + Hs*) / 2`` has its bits and the loop whose
-    pivots name a refusal sees the same matrix.  C1* and C2* are conjugated
+    ``H`` is only read; Hs is an array of its own.  C1* and C2* are conjugated
     straight into their blocks of b.  X is solved by :func:`_solve_lower` and
     copied into an array of its own, because ``X* X`` of a strided view can
     round differently (a q = 1 column is a strided dot product)."""
-    H += H.conj().T
-    H *= 0.5
-    h = abs(H.diagonal().real)
-    C1 = _definite(H[:p, :p], h[:p], tol)
+    Hs = H + H.conj().T
+    Hs *= 0.5
+    h = abs(Hs.diagonal().real)
+    C1 = _definite(Hs[:p, :p], h[:p], tol)
     if C1 is None:
         return None
-    X = _solve_lower(C1, H[:p, p:]).copy()
+    X = _solve_lower(C1, Hs[:p, p:]).copy()
     XX = X.conj().T @ X
-    C2 = _definite(XX - H[p:, p:], h[p:] + XX.diagonal().real, tol)
+    C2 = _definite(XX - Hs[p:, p:], h[p:] + XX.diagonal().real, tol)
     if C2 is None:
         return None
-    b = np.zeros(H.shape, H.dtype)
+    b = np.zeros(Hs.shape, Hs.dtype)
     np.conjugate(C1.T, out=b[:p, :p])
     b[:p, p:] = X
     np.conjugate(C2.T, out=b[p:, p:])

@@ -214,6 +214,37 @@ def test_one_frobenius_norm_and_no_slow_triangle_helpers():
     assert sorted(helpers) == []
 
 
+# The kernel API that only the benchmark's tracer keeps, by defining module
+# (ROADMAP item 4 deletes it): no library path may come to depend on it.
+TRACER_KEPT = {"kernel": {"eig", "EigenResult", "DEFAULT_TOL_EIG", "signed_ldl", "solve_upper_triangular"},
+               "errors": {"NotHermitian", "SingularDiagonal"}}
+
+
+def test_no_library_code_refers_to_the_tracer_kept_api():
+    # a reference is a name, an attribute of a package module, or an imported
+    # name; those inside the definitions of the same names, and kernel's import
+    # of its two errors, are the API itself
+    kept = set().union(*TRACER_KEPT.values())
+    refs = []
+    for path in PACKAGE.glob("*.py"):
+        own = TRACER_KEPT.get(path.stem, set())
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = top.targets if isinstance(top, ast.Assign) else []
+            if {getattr(top, "name", None), *(getattr(t, "id", None) for t in targets)} & own:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in kept:
+                    refs.append((path.stem, node.id, node.lineno))
+                elif (isinstance(node, ast.Attribute) and node.attr in kept and isinstance(node.value, ast.Name)
+                      and node.value.id in TRACER_KEPT):
+                    refs.append((path.stem, node.attr, node.lineno))
+                elif isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names} & kept
+                    if path.stem != "kernel" or node.module != "errors" or names - TRACER_KEPT["errors"]:
+                        refs += [(path.stem, name, node.lineno) for name in sorted(names)]
+    assert refs == []
+
+
 # One call of each public path, the CLI's decompose and selftest included:
 # none loads scipy.  The CLI imports the selftest module only for the
 # selftest command.

@@ -33,7 +33,7 @@ from supq.iwasawa import (
     q_log,
     sym,
 )
-from supq.kernel import DEFAULT_TOL, _frobenius, mat_exp, signed_ldl
+from supq.kernel import DEFAULT_TOL, _frobenius, mat_exp
 from supq.selftest import (
     random_admissible_an,
     random_admissible_q,
@@ -682,9 +682,9 @@ def test_routes_take_one_step_on_well_conditioned_elements(monkeypatch):
 
 
 def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
-    # the public loop's sqrt|d| L* is the J-Cholesky's factor to roundoff; but
-    # the Gauss route returns only the J-Cholesky's: with it declining, the
-    # loop names a refusal at its weakest pivot, the smallest |d_k| / cancel_k
+    # the loop's sqrt|d| L* is the J-Cholesky's factor to roundoff; but the
+    # Gauss route returns only the J-Cholesky's: with it declining, the loop
+    # names a refusal at its weakest pivot, the smallest |d_k| / cancel_k
     rng = np.random.default_rng(1931)
     cases = []
     for n in range(2, 17):
@@ -693,18 +693,17 @@ def test_signed_ldl_loop_accepts_what_the_j_cholesky_accepts(monkeypatch):
         cases.append((sig, random_decomposable(sig, rng)))
     for sig, g in cases:
         jh = g.conj().T @ sig.J @ g
-        L, d = signed_ldl(jh)
+        L, d, _ = kernel._signed_ldl(jh)
         loop = np.sqrt(np.abs(d))[:, None] * L.conj().T
         b = kernel._j_cholesky(jh, sig.p, DEFAULT_TOL)
         assert np.linalg.norm(loop - b) <= 1e-12 * np.linalg.norm(b), sig
     monkeypatch.setattr(iwasawa, "_j_cholesky", lambda H, p, tol: None)
     for sig, g in cases:
         jh = g.conj().T @ sig.J @ g
-        L, d = signed_ldl(jh)
-        cancel = np.abs(jh.diagonal()) + np.tril(np.abs(L) ** 2 * np.abs(d), -1).sum(axis=1)
+        _, d, cancels = kernel._signed_ldl(jh)
         with pytest.raises(SingularMinor) as exc:
             decompose_gauss(g, sig)
-        assert exc.value.index == int(np.argmin(np.abs(d) / cancel)) + 1, sig
+        assert exc.value.index == int(np.argmin(np.abs(d) / cancels)) + 1, sig
 
 
 # Determinant windows (the SVD + LU of groups._det_is_one), eigenvector

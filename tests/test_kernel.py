@@ -21,6 +21,7 @@ from supq.kernel import (
     EIG_SIZE_CAP,
     _definite,
     _frobenius,
+    _j_cholesky,
     _pivot_clears,
     _signed_ldl,
     _solve_lower,
@@ -337,6 +338,17 @@ def test_definite_reads_a_lapack_failure_from_its_nan_factor():
         assert kernel._quiet(_definite)(A, scale, 1e-12) is None
     with pytest.warns(RuntimeWarning, match="invalid"):
         assert _definite(A, scale, 1e-12) is None
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_j_cholesky_leaves_its_argument_unchanged(p):
+    # H is not exactly Hermitian, so its Hermitian part differs from it in bits;
+    # the J-Cholesky accepts it at p = 1 (In = (1, 1)) and declines it at p = 2
+    H = np.array([[2.0 + 1e-3j, 0.5 + 1e-3j], [0.5, -3.0]])
+    before = H.copy()
+    b = kernel._quiet(_j_cholesky)(H, p, kernel._rounding_bound(2))  # as under the public call that reaches it
+    assert (b is None) == (p == 2)
+    assert H.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("vectors", [False, True])
