@@ -40,7 +40,7 @@ from .errors import NonFiniteInput, NotTimelike
 from .groups import GroupTag, _require
 from .indefinite import (ConeClass, Signature, _check_matrix, _check_vector, _classify, _cone_margins, _gram,
                          _pairing, _sample_cones, _scaled, _sym)
-from .kernel import DEFAULT_TOL, _definite, _j_cholesky, _lapack, _quiet, _rounding_bound, _spectrum, as_cmatrix
+from .kernel import DEFAULT_TOL, _definite, _det, _j_cholesky, _lapack, _quiet, _rounding_bound, _spectrum, as_cmatrix
 
 #: Floor for the relative "eigendirection is pairing-null" threshold of the
 #: labelling, which names refusals and decides no verdict.  A defective
@@ -310,7 +310,7 @@ def pseudo_rayleigh(s, x, sig: Signature, tol: float = DEFAULT_TOL) -> float:
 def leading_minors(s) -> np.ndarray:
     """All n leading principal minors det(s[:k, :k]), k = 1..n; NonFiniteInput on overflow."""
     s = as_cmatrix(s, square=True)
-    minors = np.array([_lapack.det(s[: k + 1, : k + 1], signature="D->D") for k in range(s.shape[0])])
+    minors = np.array([_det(s[: k + 1, : k + 1]) for k in range(s.shape[0])])
     if not np.isfinite(minors).all():
         raise NonFiniteInput("a leading minor overflows")
     return minors

@@ -138,15 +138,18 @@ def matrix_to_doc(M, sig: Signature, label: str | None = None) -> dict:
     return doc
 
 
+_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps builds an encoder per call for a non-default keyword
+
+
 def dumps(obj: dict) -> str:
     """Serialize a document or report as one compact line; floats keep full
     round-trip precision.  A NaN or Inf value raises NonFiniteInput:
     :func:`load_document` could not read it back."""
     try:
-        return json.dumps(obj, allow_nan=False)
+        return _ENCODER.encode(obj)
     except ValueError:
         # json's C encoder does not name the value it refused; its pure-Python twin does
         try:
-            return "".join(json.JSONEncoder(allow_nan=False).iterencode(obj))
+            return "".join(_ENCODER.iterencode(obj))
         except ValueError as exc:
             raise NonFiniteInput(str(exc)) from None

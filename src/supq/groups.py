@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotInAN, NotInG, NotInG0, NotInQ
 from .indefinite import Signature, _check_matrix, _gram, dagger
-from .kernel import DEFAULT_TOL, _frobenius, _lapack, _quiet, _rounding_bound, mat_exp
+from .kernel import DEFAULT_TOL, _det, _frobenius, _lapack, _quiet, _rounding_bound, mat_exp
 
 
 class GroupTag(enum.Enum):
@@ -42,7 +42,7 @@ def _det_is_one(M: np.ndarray, tol: float) -> bool:
     is capped at 0.5, because one that reaches 1 can no longer tell det = 1
     from det = 0; at the default tol the window is at most 1e-3."""
     tol = max(tol, _rounding_bound(M.shape[0]))
-    miss = abs(_lapack.det(M, signature="D->D") - 1.0)
+    miss = abs(_det(M) - 1.0)
     # The allowance below is never less than the plain window (a singular
     # or failed SVD reads cond inf, not NaN), so the SVD is needed only for a
     # determinant outside it.

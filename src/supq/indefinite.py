@@ -21,23 +21,34 @@ from .errors import DimensionMismatch, NonFiniteInput, SupqError, ZeroVector
 from .kernel import DEFAULT_TOL, _finite, _quiet, as_cmatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Signature:
     """The pair (p, q), p >= 1 and q >= 1, fixing the form diag(+1 x p, -1 x q).
 
     p and q are stored as ints; a numpy integer is accepted, and a value
-    that is not an integer (2.0 included) raises ``TypeError``.  The arrays
-    that every call at this signature reads (:attr:`j_diag`, :attr:`J` and
-    :attr:`lower_mask`) are built on first use, cached and read-only."""
+    that is not an integer (2.0 included) raises ``TypeError``.  There is
+    one Signature per (p, q) in a process: ``Signature(p, q)``, ``pickle``
+    and ``copy`` all return it.  So the arrays that every call at this
+    signature reads (:attr:`j_diag`, :attr:`J` and :attr:`lower_mask`) are
+    built once per (p, q), on first use, and are read-only."""
 
     p: int
     q: int
 
-    def __post_init__(self):
-        for name in ("p", "q"):  # a non-integer raises TypeError here, not at a later use
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"signature needs p >= 1 and q >= 1, got ({self.p}, {self.q})")
+    def __new__(cls, p, q):
+        p, q = operator.index(p), operator.index(q)  # a non-integer raises TypeError here, not at a later use
+        if p < 1 or q < 1:
+            raise ValueError(f"signature needs p >= 1 and q >= 1, got ({p}, {q})")
+        sig = _SIGNATURES.get((p, q))
+        if sig is None:
+            sig = object.__new__(cls)
+            object.__setattr__(sig, "p", p)
+            object.__setattr__(sig, "q", q)
+            sig = _SIGNATURES.setdefault((p, q), sig)  # of two threads that race here, both get the first one stored
+        return sig
+
+    def __reduce__(self):
+        return Signature, (self.p, self.q)
 
     @property
     def n(self) -> int:
@@ -50,10 +61,8 @@ class Signature:
 
     @cached_property
     def J(self) -> np.ndarray:
-        """The matrix J = diag(+1 x p, -1 x q) as complex128. Read-only, and
-        one array for every Signature of (p, q), so that many signatures of
-        one shape do not each keep an n x n copy."""
-        return _J.setdefault((self.p, self.q), _read_only(np.diag(self.j_diag).astype(np.complex128)))
+        """The matrix J = diag(+1 x p, -1 x q) as complex128. Read-only."""
+        return _read_only(np.diag(self.j_diag).astype(np.complex128))
 
     @cached_property
     def lower_mask(self) -> np.ndarray:
@@ -62,7 +71,7 @@ class Signature:
         return _read_only(np.tri(self.n, k=-1, dtype=bool))
 
 
-_J: dict[tuple[int, int], np.ndarray] = {}  # Signature.J by (p, q)
+_SIGNATURES: dict[tuple[int, int], Signature] = {}  # the one Signature of each (p, q)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

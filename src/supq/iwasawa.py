@@ -42,8 +42,8 @@ import numpy as np
 from .errors import NoConvergence, NonFiniteInput, NotAdmissible, NotDecomposable, SingularMinor, WrongInertia
 from .groups import GroupTag, _pseudo_unitary, _require, _unitary_defect
 from .indefinite import ConeClass, Signature, _classify, _cone_margins, _dagger, _gram, _sym
-from .kernel import (DEFAULT_TOL, _finite, _frobenius, _j_cholesky, _lapack, _pivot_clears, _quiet,
-                     _rounding_bound, _signed_ldl, _solve_lower, _spectrum, mat_exp)
+from .kernel import (DEFAULT_TOL, _finite, _frobenius, _j_cholesky, _pivot_clears, _quiet, _rounding_bound,
+                     _signed_ldl, _solve, _solve_lower, _spectrum, mat_exp)
 
 
 @dataclass
@@ -331,7 +331,7 @@ def q_log(s, sig: Signature, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotAdmissible(f"q_log needs an admissible element: {report.reason}", report)
     if vals.real[-1] <= 0:
         raise NoConvergence(f"the eigensolver lost an eigenvalue of this admissible element: {vals.real[-1]:.3e}")
-    X = _lapack.solve(V.T, (V * np.log(vals.real)).T, signature="DD->D").T
+    X = _solve(V.T, (V * np.log(vals.real)).T).T
     if not np.isfinite(X).all():  # NaN where LAPACK found the eigenvector basis singular
         raise NoConvergence("the eigenvector basis is singular to working precision")
     X = 0.5 * (X + _dagger(X, sig.j_diag))

@@ -58,6 +58,16 @@ EIG_SIZE_CAP = 32
 _quiet = np.errstate(over="ignore", invalid="ignore")  # entered by each public call that judges overflow itself
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A^{-1} B`` by LAPACK's LU solve, in complex128; NaN where LAPACK fails."""
+    return _lapack.solve(A, B, signature="DD->D")
+
+
+def _det(A: np.ndarray) -> complex:
+    """det(A) by LAPACK's LU, in complex128; NaN where LAPACK fails."""
+    return _lapack.det(A, signature="D->D")
+
+
 def as_cmatrix(A, square: bool = False) -> np.ndarray:
     """Validate ``A`` and return it as a dense complex128 matrix.
 
@@ -149,7 +159,7 @@ def mat_exp(X) -> np.ndarray:
     for r, j in steps:
         np.dot(F[n : (r + 1) * n], F[j * n : (j + 1) * n], out=F[(j + 1) * n : (j + r + 1) * n])
     QN = C.dot(P).view(np.complex128).reshape(2, n, n)
-    R = _lapack.solve(QN[0], QN[1], signature="DD->D")
+    R = _solve(QN[0], QN[1])
     for _ in range(s):
         R = R.dot(R)
     return R
@@ -361,7 +371,7 @@ def _solve_lower(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     rows and eliminates.  It is backward stable row by row (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 8).
     The result is a reversed view."""
-    return _lapack.solve(L[::-1, ::-1], R[::-1], signature="DD->D")[::-1]
+    return _solve(L[::-1, ::-1], R[::-1])[::-1]
 
 
 def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -384,4 +394,4 @@ def solve_upper_triangular(U, B, tol: float = DEFAULT_TOL) -> np.ndarray:
     small = np.flatnonzero(diag <= tol * _frobenius(T))
     if small.size:
         raise SingularDiagonal(int(small[0]) + 1)
-    return _lapack.solve(T, B, signature="DD->D")
+    return _solve(T, B)

@@ -100,16 +100,12 @@ def test_errstate_is_entered_only_at_public_entries():
 # (module, function, gufunc of kernel._lapack, its signature).
 LAPACK_CALLS = [
     ("admissible", "_labelled_report", "eigh_lo", "D->dD"),
-    ("admissible", "leading_minors", "det", "D->D"),
-    ("groups", "_det_is_one", "det", "D->D"),
     ("groups", "_det_is_one", "svd", "D->d"),
-    ("iwasawa", "q_log", "solve", "DD->D"),
     ("kernel", "_definite", "cholesky_lo", "D->D"),
-    ("kernel", "_solve_lower", "solve", "DD->D"),
+    ("kernel", "_det", "det", "D->D"),
+    ("kernel", "_solve", "solve", "DD->D"),
     ("kernel", "_spectrum", "eig", "D->DD"),
     ("kernel", "_spectrum", "eigvals", "D->D"),
-    ("kernel", "mat_exp", "solve", "DD->D"),
-    ("kernel", "solve_upper_triangular", "solve", "DD->D"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Signature geometry: pairing, dagger, cone trichotomy, cone sampling."""
 
+import copy
+import dataclasses
+import pickle
 import sys
 from fractions import Fraction
 
@@ -67,6 +70,34 @@ def test_signature_lower_mask_is_the_strict_lower_triangle():
     sig = Signature(2, 3)
     np.testing.assert_array_equal(sig.lower_mask, np.tril(np.ones((5, 5), bool), -1))
     assert sig.lower_mask is sig.lower_mask  # cached
+
+
+def test_one_signature_per_pair():
+    sig = Signature(3, 4)
+    assert sig is Signature(np.int64(3), np.int32(4)) and sig is Signature(q=4, p=3)
+    assert sig == Signature(3, 4) and sig != Signature(4, 3) and sig != (3, 4)
+    assert hash(sig) == hash(Signature(3, 4)) and repr(sig) == "Signature(p=3, q=4)"
+    assert dataclasses.replace(sig, q=5) is Signature(3, 5) and dataclasses.replace(sig) is sig
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.p = 2
+    for name in ("j_diag", "J", "lower_mask"):  # built once per (p, q)
+        assert getattr(sig, name) is getattr(Signature(3, 4), name)
+    unread = Signature(37, 41)  # no other test reads this pair's arrays
+    assert not {"j_diag", "J", "lower_mask"} & vars(unread).keys()
+
+
+def test_signature_copies_are_the_shared_instance():
+    # a copy of a signature whose arrays were read hands back the one
+    # instance, with its shared read-only arrays, and pickles only (p, q)
+    sig = Signature(2, 3)
+    arrays = (sig.j_diag, sig.J, sig.lower_mask)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(sig, protocol)
+        assert pickle.loads(data) is sig and len(data) < 100
+    for clone in (copy.copy(sig), copy.deepcopy(sig), copy.deepcopy([sig])[0]):
+        assert clone is sig
+        assert all(a is b for a, b in zip((clone.j_diag, clone.J, clone.lower_mask), arrays))
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_gram_equals_j_times_sym_in_value():
